@@ -68,8 +68,8 @@ sim::BackendResult PinatuboBackend::execute(const sim::OpTrace& trace) {
   }
   result.bitwise = r.cost;
   // Scalar remainder on the host CPU over PCM.
-  sim::SimdCpuModel host({}, sim::MemKind::kPcm);
-  result.scalar = host.scalar(trace.scalar_ops, trace.scalar_bytes);
+  result.scalar = sim::scalar_cost({}, sim::MemKind::kPcm, trace.scalar_ops,
+                                   trace.scalar_bytes);
   return result;
 }
 

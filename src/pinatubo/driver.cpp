@@ -633,6 +633,7 @@ void PimRuntime::reset_campaign() {
   mem_.reset_campaign();  // rows, wear ledger, remaps, sense epoch
   if (fault_model_) fault_model_->reset();
   if (relmgr_) relmgr_->reset();
+  if (cpu_) cpu_->reset();  // the fallback model's simulated cache
   last_rel_ = {};
   batch_plans_.clear();
   reset_cost();

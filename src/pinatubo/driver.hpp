@@ -167,10 +167,10 @@ class PimRuntime {
 
   /// Tears the runtime down to a fresh campaign: every vector freed, the
   /// memory array / wear ledger / remap table / sense epoch cleared, the
-  /// fault model's dynamic state and the reliability counters reset, cost
-  /// and stats zeroed.  The fault model's static stuck-at map survives
-  /// (same chip, new campaign) — back-to-back campaigns in one process are
-  /// independent.
+  /// fault model's dynamic state, the reliability counters and the CPU
+  /// fallback model's cache reset, cost and stats zeroed.  The fault
+  /// model's static stuck-at map survives (same chip, new campaign) —
+  /// back-to-back campaigns in one process are independent.
   void reset_campaign();
 
  private:

@@ -71,8 +71,8 @@ BackendResult AcPimBackend::execute(const OpTrace& trace) {
     result.bitwise += op_cost(op.op, op.srcs.size(), op.bits,
                               op.host_reads_result, trace.result_density);
   // Scalar remainder runs on the host CPU over the same PCM memory.
-  SimdCpuModel host({}, MemKind::kPcm);
-  result.scalar = host.scalar(trace.scalar_ops, trace.scalar_bytes);
+  result.scalar =
+      scalar_cost({}, MemKind::kPcm, trace.scalar_ops, trace.scalar_bytes);
   return result;
 }
 

@@ -11,7 +11,7 @@ namespace {
 /// operands dwarf the LLC), so the closed-form streaming path is exact.
 constexpr std::uint64_t kDirectPathAccesses = 1u << 20;
 
-/// Virtual base address for a logical vector id: ids get disjoint, line-
+/// Virtual base address for a logical vector id: ids get disjoint, 4 KiB-
 /// aligned arenas so cache behaviour matches a real allocator's.
 std::uint64_t vector_base(std::uint64_t id, std::uint64_t bytes) {
   const std::uint64_t stride = std::max<std::uint64_t>(
@@ -53,39 +53,50 @@ double SimdCpuModel::compute_gbps() const {
   return cfg_.bulk_cores * (cfg_.simd_bits / 8.0) * cfg_.freq_ghz;
 }
 
-mem::Cost SimdCpuModel::bulk_op(const TraceOp& op) {
+bool BulkSweep::streaming() const {
+  return lines * bases.size() > kDirectPathAccesses;
+}
+
+BulkSweep bulk_sweep(const TraceOp& op, unsigned line_bytes) {
   PIN_CHECK(!op.srcs.empty());
   PIN_CHECK(op.bits > 0);
-  const std::uint64_t line = cache_.line_bytes();
+  constexpr std::uint64_t kMax = ~std::uint64_t{0};
+  PIN_CHECK_MSG(op.bits <= kMax - 63, "op of " << op.bits << " bits");
+  BulkSweep s;
   // Word-aligned footprint: the host kernels (BitVector) process whole
   // 64-bit words, so the baseline is charged for the same word count the
   // PIM functional layer touches.  Identical to (bits+7)/8 for the word-
   // multiple sizes of every figure; only sub-word tails round up.
-  const std::uint64_t bytes = (op.bits + 63) / 64 * 8;
-  const std::uint64_t lines = (bytes + line - 1) / line;
+  s.bytes = (op.bits + 63) / 64 * 8;
+  s.lines = (s.bytes + line_bytes - 1) / line_bytes;
   const std::uint64_t n_streams = op.srcs.size() + 1;  // +dst
-  const std::uint64_t accesses = lines * n_streams;
-  const std::uint64_t processed = bytes * op.srcs.size();
+  // Bounds bytes * streams, hence processed bytes and line accesses too.
+  PIN_CHECK_MSG(s.bytes <= kMax / n_streams,
+                n_streams << " streams of " << s.bytes << " B wrap");
+  s.bases.reserve(n_streams);
+  for (const auto src : op.srcs) s.bases.push_back(vector_base(src, s.bytes));
+  s.bases.push_back(vector_base(op.dst, s.bytes));
+  return s;
+}
 
-  if (accesses > kDirectPathAccesses) {
+mem::Cost SimdCpuModel::bulk_op(const TraceOp& op) {
+  const BulkSweep s = bulk_sweep(op, cache_.line_bytes());
+  const std::uint64_t n_streams = s.bases.size();
+  const std::uint64_t processed = s.bytes * op.srcs.size();
+
+  if (s.streaming()) {
     // Streaming: every source line comes from memory, every dst line is
     // write-allocated and eventually written back.
     std::vector<std::uint64_t> served(cache_.levels() + 1, 0);
-    served[cache_.levels()] = accesses;
-    return price(processed, served, lines * op.srcs.size() + lines, lines);
+    served[cache_.levels()] = s.lines * n_streams;
+    return price(processed, served, s.lines * n_streams, s.lines);
   }
 
-  cache_.reset_stats();
-  for (std::uint64_t i = 0; i < lines; ++i) {
-    for (const auto src : op.srcs)
-      cache_.access(vector_base(src, bytes) + i * line, false);
-    cache_.access(vector_base(op.dst, bytes) + i * line, true);
-  }
+  const auto served = cache_.sweep(s.bases, s.lines);
   // Dirty dst lines that will eventually be written back: approximate as
   // the dst lines that missed everywhere (streaming stores); cached dst
   // lines get rewritten in place.
-  const auto served = cache_.served_lines();
-  const std::uint64_t mem_lines = cache_.memory_lines();
+  const std::uint64_t mem_lines = served[cache_.levels()];
   // Split memory traffic: dst allocations among the misses cause
   // writebacks; assume misses distribute evenly across streams.
   const std::uint64_t wb_lines = mem_lines / n_streams;
@@ -100,7 +111,7 @@ mem::Cost SimdCpuModel::price(std::uint64_t processed_bytes,
   double t = static_cast<double>(processed_bytes) / compute_gbps();
   mem::EnergyCounter energy;
   for (unsigned l = 0; l < cache_.levels(); ++l) {
-    const auto& cfg = cache_.level(l).config();
+    const auto& cfg = cache_.level_config(l);
     const double bytes = static_cast<double>(served_lines[l]) * line;
     t = std::max(t, bytes / cfg.bandwidth_gbps);
     energy.add("cpu." + cfg.name,
@@ -124,19 +135,21 @@ mem::Cost SimdCpuModel::price(std::uint64_t processed_bytes,
   return cost;
 }
 
-mem::Cost SimdCpuModel::scalar(std::uint64_t ops, std::uint64_t bytes) const {
+mem::Cost scalar_cost(const CpuConfig& cfg, MemKind mem, std::uint64_t ops,
+                      std::uint64_t bytes) {
+  const MemStreamParams mp = stream_params(mem);
   mem::Cost cost;
   const double t_compute =
-      static_cast<double>(ops) / (cfg_.scalar_ipc * cfg_.freq_ghz);
+      static_cast<double>(ops) / (cfg.scalar_ipc * cfg.freq_ghz);
   const double miss_bytes =
-      static_cast<double>(bytes) * cfg_.scalar_miss_fraction;
-  const double t_mem = miss_bytes / mem_params_.read_gbps;
+      static_cast<double>(bytes) * cfg.scalar_miss_fraction;
+  const double t_mem = miss_bytes / mp.read_gbps;
   cost.time_ns = t_compute + t_mem;
-  cost.energy.add("cpu.core", cfg_.scalar_power_w * cost.time_ns * 1e3);
-  cost.energy.add("mem.read", miss_bytes * 8.0 * mem_params_.read_pj_per_bit);
+  cost.energy.add("cpu.core", cfg.scalar_power_w * cost.time_ns * 1e3);
+  cost.energy.add("mem.read", miss_bytes * 8.0 * mp.read_pj_per_bit);
   // Cached portion still pays cache energy (cheap, L2-class).
   cost.energy.add("cpu.L2",
-                  static_cast<double>(bytes) * (1.0 - cfg_.scalar_miss_fraction) /
+                  static_cast<double>(bytes) * (1.0 - cfg.scalar_miss_fraction) /
                       64.0 * 300.0);
   return cost;
 }

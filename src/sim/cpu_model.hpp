@@ -13,11 +13,22 @@
 // possible) switch to the closed-form streaming path — identical result,
 // without simulating millions of lines.
 //
-// The same model prices the *scalar* remainder of applications (frontier
-// scanning, query bookkeeping), which runs on the host in every backend.
+// The access stream of one op is an interleaved sweep: line i of every
+// source, then of dst, for i = 0, 1, ...  Each logical vector id sits at a
+// 4 KiB-aligned virtual base (bulk_sweep()), which is exactly the
+// alignment SliceSweep (sim/cache.hpp) needs on the Haswell hierarchy, so
+// the cache state is simulated one representative 64-line slice per
+// equivalence class instead of line by line.  The per-level counts, and so
+// every priced time and energy, equal those of the line-by-line
+// CacheHierarchy; tests check that op by op.
+//
+// The *scalar* remainder of applications (frontier scanning, query
+// bookkeeping), which runs on the host in every backend, is priced by the
+// cache-free scalar_cost().
 #pragma once
 
 #include <cstdint>
+#include <vector>
 
 #include "mem/energy.hpp"
 #include "sim/backend.hpp"
@@ -60,6 +71,28 @@ struct CpuConfig {
   double scalar_miss_fraction = 0.3;
 };
 
+/// Prices the scalar aggregate of a trace on the host CPU.  Needs no cache
+/// state, so backends call it without building a SimdCpuModel.
+mem::Cost scalar_cost(const CpuConfig& cfg, MemKind mem, std::uint64_t ops,
+                      std::uint64_t bytes);
+
+/// The access stream `SimdCpuModel::bulk_op` prices for one op: for every
+/// line i < lines, one access at bases[s] + i * line_bytes for each stream
+/// s — the sources in order, then dst.
+struct BulkSweep {
+  std::uint64_t bytes = 0;            ///< word-aligned operand footprint
+  std::uint64_t lines = 0;            ///< lines per stream
+  std::vector<std::uint64_t> bases;   ///< one 4 KiB-aligned base per stream
+  /// Too many accesses for any reuse: priced in closed form, and the cache
+  /// state is left untouched.
+  bool streaming() const;
+};
+
+/// Lays out `op` in the virtual address space (disjoint 4 KiB-aligned
+/// arenas per vector id).  Rejects ops whose footprint arithmetic would
+/// wrap.
+BulkSweep bulk_sweep(const TraceOp& op, unsigned line_bytes);
+
 class SimdCpuModel {
  public:
   SimdCpuModel(const CpuConfig& cfg, MemKind mem);
@@ -68,10 +101,8 @@ class SimdCpuModel {
   /// small working sets (BFS frontiers, hot bitmaps) hit in L2/L3.
   mem::Cost bulk_op(const TraceOp& op);
 
-  /// Prices the scalar aggregate of a trace.
-  mem::Cost scalar(std::uint64_t ops, std::uint64_t bytes) const;
-
-  /// Clears cache contents (call between independent traces).
+  /// Clears cache contents (call between independent traces).  Cheap: the
+  /// state is one slice of each level.
   void reset();
 
   MemKind mem_kind() const { return mem_; }
@@ -89,7 +120,7 @@ class SimdCpuModel {
   CpuConfig cfg_;
   MemKind mem_;
   MemStreamParams mem_params_;
-  CacheHierarchy cache_;
+  SliceSweep cache_;
 };
 
 }  // namespace pinatubo::sim

@@ -16,8 +16,8 @@ class IdealBackend final : public Backend {
 
   BackendResult execute(const OpTrace& trace) override {
     BackendResult result;  // bitwise cost stays zero
-    SimdCpuModel host({}, mem_);
-    result.scalar = host.scalar(trace.scalar_ops, trace.scalar_bytes);
+    result.scalar =
+        scalar_cost({}, mem_, trace.scalar_ops, trace.scalar_bytes);
     return result;
   }
 

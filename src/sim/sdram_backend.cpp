@@ -63,7 +63,8 @@ BackendResult SdramBackend::execute(const OpTrace& trace) {
       result.bitwise += fallback_cpu_.bulk_op(op);
     }
   }
-  result.scalar = fallback_cpu_.scalar(trace.scalar_ops, trace.scalar_bytes);
+  result.scalar = scalar_cost(fallback_cpu_.config(), fallback_cpu_.mem_kind(),
+                              trace.scalar_ops, trace.scalar_bytes);
   return result;
 }
 

@@ -13,7 +13,8 @@ BackendResult SimdBackend::execute(const OpTrace& trace) {
   cpu_.reset();
   BackendResult result;
   for (const auto& op : trace.ops) result.bitwise += cpu_.bulk_op(op);
-  result.scalar = cpu_.scalar(trace.scalar_ops, trace.scalar_bytes);
+  result.scalar = scalar_cost(cpu_.config(), cpu_.mem_kind(),
+                              trace.scalar_ops, trace.scalar_bytes);
   return result;
 }
 

@@ -91,12 +91,11 @@ TEST(SimdCpuModel, MultiOperandScalesLinearly) {
 }
 
 TEST(SimdCpuModel, ScalarCost) {
-  SimdCpuModel cpu({}, MemKind::kDram);
-  const auto c = cpu.scalar(6'600'000, 0);
+  const auto c = scalar_cost({}, MemKind::kDram, 6'600'000, 0);
   // 6.6e6 ops at 2 IPC, 3.3 GHz -> 1 ms.
   EXPECT_NEAR(c.time_ns, 1e6, 1e3);
   EXPECT_GT(c.energy.get("cpu.core"), 0.0);
-  const auto with_mem = cpu.scalar(1000, 1 << 20);
+  const auto with_mem = scalar_cost({}, MemKind::kDram, 1000, 1 << 20);
   EXPECT_GT(with_mem.time_ns, c.time_ns / 1000);
   EXPECT_GT(with_mem.energy.get("mem.read"), 0.0);
 }
@@ -126,6 +125,20 @@ TEST(SimdCpuModel, RejectsBadOps) {
   EXPECT_THROW(cpu.bulk_op(empty), Error);
   TraceOp zero = or2(0);
   EXPECT_THROW(cpu.bulk_op(zero), Error);
+}
+
+TEST(SimdCpuModel, RejectsFootprintsThatWrap) {
+  SimdCpuModel cpu({}, MemKind::kDram);
+  // bits + 63 wraps: this op used to be priced as free.
+  EXPECT_THROW(cpu.bulk_op(or2(~0ull)), Error);
+  EXPECT_THROW(cpu.bulk_op(or2(~0ull - 62)), Error);
+  // lines * streams wraps: 2^54 lines in each of 1025 streams.
+  TraceOp wide = or2(1ull << 63);
+  wide.srcs.clear();
+  for (std::uint64_t i = 0; i < 1024; ++i) wide.srcs.push_back(i);
+  EXPECT_THROW(cpu.bulk_op(wide), Error);
+  // The largest op that fits still prices (closed-form streaming path).
+  EXPECT_GT(cpu.bulk_op(or2(1ull << 60)).time_ns, 0.0);
 }
 
 TEST(MemKindNames, Printable) {

@@ -82,6 +82,64 @@ TEST(TraceIo, RejectsMalformedStreams) {
   }
 }
 
+/// Loads a one-op trace around `body` (an op or scalar line).
+OpTrace load_one(const std::string& body) {
+  std::stringstream ss("trace t\n" + body + "\nend\n");
+  return load_trace(ss);
+}
+
+TEST(TraceIo, AcceptsTheStrictForms) {
+  const auto t = load_one("scalar 0 18446744073709551615 1\nop OR 1 9 1 2 3");
+  EXPECT_EQ(t.scalar_bytes, ~0ull);
+  EXPECT_EQ(t.result_density, 1.0);
+  ASSERT_EQ(t.ops.size(), 1u);
+  EXPECT_EQ(t.ops[0].bits, 1u);
+  EXPECT_TRUE(t.ops[0].host_reads_result);
+  EXPECT_EQ(t.ops[0].srcs, (std::vector<std::uint64_t>{2, 3}));
+}
+
+TEST(TraceIo, RejectsNegativeValues) {
+  // strtoull-style parsing would load these as 2^64 - 1.
+  EXPECT_THROW(load_one("op OR -1 0 0 1 2"), Error);
+  EXPECT_THROW(load_one("op OR 8 -3 0 1 2"), Error);
+  EXPECT_THROW(load_one("op OR 8 0 0 1 -2"), Error);
+  EXPECT_THROW(load_one("scalar -5 0 0.5"), Error);
+}
+
+TEST(TraceIo, RejectsOverflow) {
+  EXPECT_THROW(load_one("op OR 18446744073709551616 0 0 1 2"), Error);
+  EXPECT_THROW(load_one("scalar 1 99999999999999999999 0.5"), Error);
+}
+
+TEST(TraceIo, RejectsTrailingJunk) {
+  // Operands after a junk token used to be dropped silently.
+  EXPECT_THROW(load_one("op OR 8 0 0 1 x 2"), Error);
+  EXPECT_THROW(load_one("op OR 8 0 0 1 2x"), Error);
+  EXPECT_THROW(load_one("op OR 8k 0 0 1 2"), Error);
+  EXPECT_THROW(load_one("op OR 8 0 2 1 2"), Error);  // host flag not 0|1
+  EXPECT_THROW(load_one("scalar 1 2 0.5 junk"), Error);
+  EXPECT_THROW(load_one("scalar 1 2 0.5x"), Error);
+}
+
+TEST(TraceIo, RejectsZeroBits) {
+  EXPECT_THROW(load_one("op OR 0 0 0 1 2"), Error);
+}
+
+TEST(TraceIo, RejectsDensityOutsideUnitInterval) {
+  EXPECT_THROW(load_one("scalar 1 2 1.5"), Error);
+  EXPECT_THROW(load_one("scalar 1 2 -0.1"), Error);
+  EXPECT_THROW(load_one("scalar 1 2 nan"), Error);
+  EXPECT_NO_THROW(load_one("scalar 1 2 0"));
+}
+
+TEST(TraceIo, RejectsWrongArity) {
+  EXPECT_THROW(load_one("op INV 8 0 0 1 2 3"), Error);  // INV takes one
+  EXPECT_THROW(load_one("op OR 8 0 0 1"), Error);       // OR needs two
+  EXPECT_THROW(load_one("op XOR 8 0 0 1"), Error);
+  EXPECT_NO_THROW(load_one("op INV 8 0 0 1"));
+  EXPECT_NO_THROW(load_one("op AND 8 0 0 1 2"));
+}
+
 TEST(TraceIo, FileRoundTripOfRealWorkload) {
   const auto trace =
       apps::vector_trace(apps::VectorSpec::parse("14-8-3s"));
