@@ -1,9 +1,10 @@
 #include "verify/trace_lint.hpp"
 
 #include <algorithm>
+#include <charconv>
 #include <cmath>
-#include <cstdlib>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <utility>
 #include <vector>
@@ -20,7 +21,8 @@ constexpr double kEpsNs = 0.21;
 // ---- minimal recursive-descent JSON reader --------------------------------
 // The linter must not trust the writer, so it re-parses the file instead of
 // linking against the exporter.  Only what trace-event files use: objects,
-// arrays, strings (with the exporter's escapes), numbers, true/false/null.
+// arrays, strings (with the exporter's escapes), numbers, true/false/null,
+// under the input contract in trace_lint.hpp.
 
 struct JValue {
   enum class Kind { kNull, kBool, kNumber, kString, kArray, kObject };
@@ -79,8 +81,14 @@ class JsonParser {
   bool value(JValue& out) {
     if (pos_ >= text_.size()) return fail("unexpected end of input");
     switch (text_[pos_]) {
-      case '{': return object(out);
-      case '[': return array(out);
+      case '{':
+      case '[': {
+        if (depth_ == kMaxTraceDepth) return fail("nesting too deep");
+        ++depth_;
+        const bool ok = text_[pos_] == '{' ? object(out) : array(out);
+        --depth_;
+        return ok;
+      }
       case '"':
         out.kind = JValue::Kind::kString;
         return string(out.string);
@@ -172,8 +180,11 @@ class JsonParser {
         case 'f': out += '\f'; break;
         case 'u': {
           if (pos_ + 4 > text_.size()) return fail("truncated \\u escape");
-          const unsigned long cp =
-              std::strtoul(text_.substr(pos_, 4).c_str(), nullptr, 16);
+          unsigned cp = 0;
+          const char* hex = text_.data() + pos_;
+          const auto [end, ec] = std::from_chars(hex, hex + 4, cp, 16);
+          if (ec != std::errc() || end != hex + 4)
+            return fail("\\u escape needs four hex digits");
           pos_ += 4;
           // The exporter only emits \u00xx control escapes; anything wider
           // is replaced rather than UTF-8-encoded (names are diagnostics,
@@ -187,23 +198,68 @@ class JsonParser {
     return fail("unterminated string");
   }
 
+  /// Skips a run of decimal digits; returns how many there were.
+  std::size_t digits() {
+    const std::size_t start = pos_;
+    while (pos_ < text_.size() && text_[pos_] >= '0' && text_[pos_] <= '9')
+      ++pos_;
+    return pos_ - start;
+  }
+
+  bool at(char c) const { return pos_ < text_.size() && text_[pos_] == c; }
+
+  /// JSON number grammar: -? (0 | [1-9][0-9]*) (. [0-9]+)? ([eE] [+-]? [0-9]+)?
   bool number(JValue& out) {
-    const char* begin = text_.c_str() + pos_;
-    char* end = nullptr;
-    out.number = std::strtod(begin, &end);
-    if (end == begin) return fail("expected a value");
+    const std::size_t start = pos_;
+    if (at('-')) ++pos_;
+    const std::size_t int_start = pos_;
+    const std::size_t int_digits = digits();
+    if (int_digits == 0)
+      return fail(pos_ == start ? "expected a value" : "malformed number");
+    if (int_digits > 1 && text_[int_start] == '0')
+      return fail("malformed number");  // leading zero
+    if (at('.')) {
+      ++pos_;
+      if (digits() == 0) return fail("malformed number");
+    }
+    if (at('e') || at('E')) {
+      ++pos_;
+      if (at('+') || at('-')) ++pos_;
+      if (digits() == 0) return fail("malformed number");
+    }
+    const char* begin = text_.data() + start;
+    const auto [end, ec] =
+        std::from_chars(begin, text_.data() + pos_, out.number);
+    if (ec != std::errc() || end != text_.data() + pos_ ||
+        !std::isfinite(out.number))
+      return fail("number outside the finite double range");
     out.kind = JValue::Kind::kNumber;
-    pos_ += static_cast<std::size_t>(end - begin);
     return true;
   }
 
   const std::string& text_;
   std::size_t pos_ = 0;
+  std::size_t depth_ = 0;
   std::string error_;
 };
 
 double num_or(const JValue* v, double fallback) {
   return v != nullptr && v->is(JValue::Kind::kNumber) ? v->number : fallback;
+}
+
+/// An event's track id: 0 when absent, else an integer in uint32 range.
+bool tid_of(const JValue& ev, std::uint32_t& tid) {
+  const JValue* v = ev.find("tid");
+  if (v == nullptr) {
+    tid = 0;
+    return true;
+  }
+  if (!v->is(JValue::Kind::kNumber) || v->number < 0.0 ||
+      v->number > std::numeric_limits<std::uint32_t>::max() ||
+      v->number != std::floor(v->number))
+    return false;
+  tid = static_cast<std::uint32_t>(v->number);
+  return true;
 }
 
 void append_json_escaped(std::ostringstream& os, const std::string& s) {
@@ -269,6 +325,14 @@ Report lint_trace_text(const std::string& json, TraceStats* stats) {
       t01("traceEvents[" + std::to_string(i) + "] has no ph");
       continue;
     }
+    // Other phases are not ours to judge.
+    if (ph->string != "M" && ph->string != "X") continue;
+    std::uint32_t tid = 0;
+    if (!tid_of(ev, tid)) {
+      t01("traceEvents[" + std::to_string(i) +
+          "] tid is not an integer in uint32 range");
+      continue;
+    }
     if (ph->string == "M") {
       const JValue* name = ev.find("name");
       const JValue* args = ev.find("args");
@@ -276,12 +340,10 @@ Report lint_trace_text(const std::string& json, TraceStats* stats) {
           args != nullptr && args->is(JValue::Kind::kObject)) {
         const JValue* tname = args->find("name");
         if (tname != nullptr && tname->is(JValue::Kind::kString))
-          track_names[static_cast<std::uint32_t>(
-              num_or(ev.find("tid"), 0.0))] = tname->string;
+          track_names[tid] = tname->string;
       }
       continue;
     }
-    if (ph->string != "X") continue;  // other phases are not ours to judge
     const JValue* ts = ev.find("ts");
     const JValue* dur = ev.find("dur");
     if (ts == nullptr || !ts->is(JValue::Kind::kNumber) || dur == nullptr ||
@@ -293,7 +355,7 @@ Report lint_trace_text(const std::string& json, TraceStats* stats) {
     s.start_ns = ts->number * 1e3;  // Chrome ts/dur are microseconds
     s.end_ns = s.start_ns + dur->number * 1e3;
     s.event = i;
-    s.tid = static_cast<std::uint32_t>(num_or(ev.find("tid"), 0.0));
+    s.tid = tid;
     by_track[s.tid].push_back(s);
     ++st.spans;
     st.max_end_ns = std::max(st.max_end_ns, s.end_ns);

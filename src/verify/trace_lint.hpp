@@ -10,6 +10,12 @@
 // slack: the exporter rounds at 0.1 ns (four decimals of a microsecond), so
 // two rounded endpoints may disagree by up to 0.2 ns without a real bug.
 //
+// Input contract (anything else is T01, never undefined behaviour):
+// containers nest at most kMaxTraceDepth deep; numbers follow the JSON
+// grammar and are finite doubles (no inf/nan, hex floats or leading '+');
+// \u escapes carry exactly four hex digits; a `tid` is an integer in
+// uint32 range.
+//
 // Used by the `plan_lint --trace` CLI and cross-checked against
 // tools/check_trace.py in CI.
 #pragma once
@@ -21,6 +27,10 @@
 #include "verify/rules.hpp"
 
 namespace pinatubo::verify {
+
+/// Deepest container nesting the reader accepts (exported traces nest four
+/// deep); past it the recursive reader stops with a T01 finding.
+constexpr std::size_t kMaxTraceDepth = 64;
 
 /// Machine-readable facts extracted while linting, for summary files and
 /// cross-checks against other tools' view of the same trace.

@@ -52,21 +52,24 @@ Verifier::Verifier(const core::PinatuboCostModel& model, unsigned max_rows_cap)
 
 Report Verifier::check(const OpPlan& plan) const {
   Report rep;
+  std::vector<mem::Command> cmds;
   for (std::size_t i = 0; i < plan.steps.size(); ++i)
-    check_step(0, i, plan.steps[i], rep);
+    check_step(0, i, plan.steps[i], cmds, rep);
   return rep;
 }
 
 Report Verifier::check(const std::vector<OpPlan>& plans) const {
   Report rep;
+  std::vector<mem::Command> cmds;  // one lowering buffer for the whole batch
   for (std::size_t p = 0; p < plans.size(); ++p)
     for (std::size_t i = 0; i < plans[p].steps.size(); ++i)
-      check_step(p, i, plans[p].steps[i], rep);
+      check_step(p, i, plans[p].steps[i], cmds, rep);
   return rep;
 }
 
 void Verifier::check_step(std::size_t plan, std::size_t step,
-                          const PlanStep& s, Report& rep) const {
+                          const PlanStep& s, std::vector<mem::Command>& cmds,
+                          Report& rep) const {
   const mem::Geometry& g = model_->geometry();
   const std::size_t before = rep.diags.size();
   auto add = [&](Rule r, const std::string& msg) {
@@ -205,7 +208,7 @@ void Verifier::check_step(std::size_t plan, std::size_t step,
   // column window and row lists); structural violations above already
   // explain anything it would find.
   if (rep.diags.size() == before) {
-    std::vector<mem::Command> cmds;
+    cmds.clear();
     model_->lower_step(s, cmds);
     command_automaton(cmds, plan, step, rep);
   }
@@ -230,13 +233,16 @@ void Verifier::command_automaton(const std::vector<mem::Command>& cmds,
   const mem::Geometry& g = model_->geometry();
   St st = St::kIdle;
   unsigned acts = 0, loads = 0;
-  auto add = [&](const Rule r, const std::string& m) {
-    rep.add(r, plan, step, m);
-  };
   for (std::size_t i = 0; i < cmds.size(); ++i) {
     const mem::Command& c = cmds[i];
-    std::ostringstream at;
-    at << "command " << i << " (" << mem::to_string(c.kind) << "): ";
+    // The "command i (KIND): " prefix is formatted only when a rule fires,
+    // so a clean stream does no string work.
+    auto add = [&](const Rule r, auto&&... parts) {
+      std::ostringstream os;
+      os << "command " << i << " (" << mem::to_string(c.kind) << "): ";
+      (os << ... << parts);
+      rep.add(r, plan, step, os.str());
+    };
     switch (c.kind) {
       case mem::CmdKind::kModeSet:
         st = St::kArmed;
@@ -245,54 +251,50 @@ void Verifier::command_automaton(const std::vector<mem::Command>& cmds,
       case mem::CmdKind::kPimReset:
         if (st != St::kArmed)
           add(Rule::kBadCommandOrder,
-              at.str() + "wordline reset without a preceding mode-set");
+              "wordline reset without a preceding mode-set");
         st = St::kLatching;
         acts = 0;
         break;
       case mem::CmdKind::kAct:
         if (st != St::kLatching)
           add(Rule::kBadCommandOrder,
-              at.str() + "activate outside a reset multi-ACT window");
+              "activate outside a reset multi-ACT window");
         else if (++acts > g.rows_per_subarray)
-          add(Rule::kActivationOverflow,
-              at.str() + "more ACTs than LWL driver latches (" +
-                  std::to_string(g.rows_per_subarray) + ")");
+          add(Rule::kActivationOverflow, "more ACTs than LWL driver latches (",
+              g.rows_per_subarray, ")");
         break;
       case mem::CmdKind::kPimSense:
         if (!(st == St::kSensing || (st == St::kLatching && acts >= 1)))
-          add(Rule::kBadCommandOrder,
-              at.str() + "sense with no activated rows");
+          add(Rule::kBadCommandOrder, "sense with no activated rows");
         st = St::kSensing;
         break;
       case mem::CmdKind::kPimWriteback:
         if (st != St::kSensing && st != St::kOped)
           add(Rule::kWriteBypassNoSense,
-              at.str() +
-                  "write-driver bypass without a sense or buffer op result");
+              "write-driver bypass without a sense or buffer op result");
         st = St::kIdle;
         break;
       case mem::CmdKind::kPimLoad:
         if (st != St::kArmed && st != St::kLoading)
           add(Rule::kBadCommandOrder,
-              at.str() + "buffer load without a preceding mode-set");
+              "buffer load without a preceding mode-set");
         else if (++loads > 2)
           add(Rule::kBadCommandOrder,
-              at.str() + "more loads than buffer operand slots (2)");
+              "more loads than buffer operand slots (2)");
         st = St::kLoading;
         break;
       case mem::CmdKind::kPimGdlOp:
       case mem::CmdKind::kPimIoOp:
         if (st != St::kLoading || loads < 1)
           add(Rule::kBadCommandOrder,
-              at.str() + "buffer logic op with no loaded operands");
+              "buffer logic op with no loaded operands");
         st = St::kOped;
         break;
       case mem::CmdKind::kRead:
         break;  // host column bursts are plain DDR, legal anywhere
       case mem::CmdKind::kWrite:
       case mem::CmdKind::kPrecharge:
-        add(Rule::kBadCommandOrder,
-            at.str() + "not part of a lowered PIM sequence");
+        add(Rule::kBadCommandOrder, "not part of a lowered PIM sequence");
         break;
     }
   }
@@ -309,14 +311,31 @@ Report Verifier::check(const std::vector<OpPlan>& plans,
                        bool serial) const {
   Report rep = check(plans);
   if (!rep.ok()) return rep;
-  hazard_resource_pass(plans, result, rep);
-  reconcile_pass(plans, result, serial, rep);
+  const Priced priced = price(plans);
+  hazard_resource_pass(plans, result, priced, rep);
+  reconcile_pass(plans, result, serial, priced, rep);
   return rep;
+}
+
+Verifier::Priced Verifier::price(const std::vector<OpPlan>& plans) const {
+  Priced out;
+  out.offset.assign(plans.size() + 1, 0);
+  for (std::size_t p = 0; p < plans.size(); ++p)
+    out.offset[p + 1] = out.offset[p] + plans[p].steps.size();
+  out.price.reserve(out.offset.back());
+  for (const OpPlan& plan : plans)
+    for (const PlanStep& s : plan.steps) {
+      const mem::Cost c = model_->step_cost(s);
+      out.price.push_back(
+          {c.time_ns, c.energy.total_pj(), model_->step_bus_bytes(s)});
+    }
+  return out;
 }
 
 void Verifier::hazard_resource_pass(
     const std::vector<OpPlan>& plans,
-    const core::ExecutionEngine::Result& result, Report& rep) const {
+    const core::ExecutionEngine::Result& result, const Priced& priced,
+    Report& rep) const {
   using Sched = core::ExecutionEngine::ScheduledStep;
   auto msg = [](auto&&... parts) {
     std::ostringstream os;
@@ -325,9 +344,7 @@ void Verifier::hazard_resource_pass(
   };
 
   // ---- H01: the schedule covers each step exactly once -------------------
-  std::vector<std::size_t> offset(plans.size() + 1, 0);
-  for (std::size_t p = 0; p < plans.size(); ++p)
-    offset[p + 1] = offset[p] + plans[p].steps.size();
+  const std::vector<std::size_t>& offset = priced.offset;
   const std::size_t total = offset.back();
   std::vector<const Sched*> placed(total, nullptr);
   bool structural_ok = result.schedule.size() == total;
@@ -353,31 +370,23 @@ void Verifier::hazard_resource_pass(
   }
   if (!structural_ok) return;  // per-node times are not well-defined
 
-  // Price every step once; H01 time checks + the resource bookkeeping
-  // below all reuse these.
-  std::vector<double> cost_ns(total);
-  for (std::size_t p = 0; p < plans.size(); ++p)
-    for (std::size_t i = 0; i < plans[p].steps.size(); ++i)
-      cost_ns[offset[p] + i] =
-          model_->step_cost(plans[p].steps[i]).time_ns;
-
   for (std::size_t idx = 0; idx < total; ++idx) {
     const Sched& ss = *placed[idx];
-    const PlanStep& s = plans[ss.plan].steps[ss.step];
+    const double cost_ns = priced.price[idx].time_ns;
     if (ss.start_ns < -slack(0.0) || ss.done_ns < ss.start_ns - slack(0.0))
       rep.add(Rule::kScheduleShape, ss.plan, ss.step,
               msg("negative or inverted window [", ss.start_ns, ", ",
                   ss.done_ns, "]"));
-    if (!near(ss.done_ns - ss.start_ns, cost_ns[idx]))
+    if (!near(ss.done_ns - ss.start_ns, cost_ns))
       rep.add(Rule::kScheduleShape, ss.plan, ss.step,
               msg("scheduled duration ", ss.done_ns - ss.start_ns,
-                  " ns != step cost ", cost_ns[idx], " ns"));
-    const std::uint64_t bytes = model_->step_bus_bytes(s);
+                  " ns != step cost ", cost_ns, " ns"));
+    const std::uint64_t bytes = priced.price[idx].bus_bytes;
     const double burst =
         bytes == 0 ? 0.0
                    : std::min(static_cast<double>(bytes) /
                                   model_->bus().data_gbps,
-                              cost_ns[idx]);
+                              cost_ns);
     if (!near(ss.bus_ns, burst))
       rep.add(Rule::kScheduleShape, ss.plan, ss.step,
               msg("bus burst ", ss.bus_ns, " ns != ", burst,
@@ -474,7 +483,8 @@ void Verifier::hazard_resource_pass(
 
 void Verifier::reconcile_pass(const std::vector<OpPlan>& plans,
                               const core::ExecutionEngine::Result& result,
-                              bool serial, Report& rep) const {
+                              bool serial, const Priced& priced,
+                              Report& rep) const {
   if (rep.tripped(Rule::kScheduleShape)) return;  // sums are meaningless
   auto msg = [](auto&&... parts) {
     std::ostringstream os;
@@ -494,8 +504,9 @@ void Verifier::reconcile_pass(const std::vector<OpPlan>& plans,
     ++steps_by_class[k];
     serial_sum += ss.done_ns - ss.start_ns;
     max_done = std::max(max_done, ss.done_ns);
-    energy_pj += model_->step_cost(s).energy.total_pj();
-    bus_bytes += model_->step_bus_bytes(s);
+    const StepPrice& cost = priced.at(ss.plan, ss.step);
+    energy_pj += cost.energy_pj;  // summed in schedule order
+    bus_bytes += cost.bus_bytes;
   }
 
   for (std::size_t k = 0; k < core::kStepKindCount; ++k) {

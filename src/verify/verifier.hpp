@@ -80,17 +80,37 @@ class Verifier {
   unsigned max_rows_cap() const { return max_rows_cap_; }
 
  private:
+  /// One step's re-derived price, computed once per `check(plans, result)`
+  /// and read by both the H01 and the R-rule passes.
+  struct StepPrice {
+    double time_ns;
+    double energy_pj;
+    std::uint64_t bus_bytes;
+  };
+  /// Plan steps flattened in program order: step i of plan p sits at
+  /// `offset[p] + i` of `price`.
+  struct Priced {
+    std::vector<std::size_t> offset;
+    std::vector<StepPrice> price;
+    const StepPrice& at(std::size_t plan, std::size_t step) const {
+      return price[offset[plan] + step];
+    }
+  };
+
+  /// `cmds` is the caller's lowering buffer, reused across steps.
   void check_step(std::size_t plan, std::size_t step,
-                  const core::PlanStep& s, Report& rep) const;
+                  const core::PlanStep& s, std::vector<mem::Command>& cmds,
+                  Report& rep) const;
   void command_automaton(const std::vector<mem::Command>& cmds,
                          std::size_t plan, std::size_t step,
                          Report& rep) const;
+  Priced price(const std::vector<core::OpPlan>& plans) const;
   void hazard_resource_pass(const std::vector<core::OpPlan>& plans,
                             const core::ExecutionEngine::Result& result,
-                            Report& rep) const;
+                            const Priced& priced, Report& rep) const;
   void reconcile_pass(const std::vector<core::OpPlan>& plans,
                       const core::ExecutionEngine::Result& result,
-                      bool serial, Report& rep) const;
+                      bool serial, const Priced& priced, Report& rep) const;
 
   const core::PinatuboCostModel* model_;
   unsigned max_rows_cap_;

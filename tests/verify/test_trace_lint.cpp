@@ -135,6 +135,106 @@ TEST(TraceLint, DishonestSpanCountTripsT04) {
   EXPECT_TRUE(rep.tripped(Rule::kTraceCounterMismatch)) << rep.to_string();
 }
 
+// ---- input contract: anything outside it is T01, never UB -----------------
+
+/// A span event with every numeric field spelled verbatim.
+std::string raw_span(const std::string& ts, const std::string& dur = "1.0",
+                     const std::string& tid = "0") {
+  return "{\"ph\":\"X\",\"pid\":1,\"tid\":" + tid +
+         ",\"name\":\"op\",\"cat\":\"intra-sub\",\"ts\":" + ts +
+         ",\"dur\":" + dur + "}";
+}
+
+constexpr const char* kOneSpan =
+    "\"max_span_end_ns\":1000.0,\"spans\":1,\"counters\":{}";
+
+/// Lints `json` and expects exactly one finding: T01 containing `why`.
+void expect_t01(const std::string& json, const std::string& why) {
+  const Report rep = lint_trace_text(json);
+  ASSERT_EQ(rep.diags.size(), 1u) << json << "\n" << rep.to_string();
+  EXPECT_EQ(rep.diags[0].rule, Rule::kTraceParse) << rep.to_string();
+  EXPECT_NE(rep.diags[0].message.find(why), std::string::npos)
+      << rep.to_string();
+}
+
+TEST(TraceLint, ContractConformingNumbersLintClean) {
+  for (const char* ts : {"0", "-0", "0.0", "0e5", "-0.0E+0"})
+    for (const char* dur : {"1", "1.0", "1e0", "1000E-3", "0.1e+1"}) {
+      const Report rep =
+          lint_trace_text(synthetic(raw_span(ts, dur), kOneSpan));
+      EXPECT_TRUE(rep.ok()) << ts << ' ' << dur << ":\n" << rep.to_string();
+    }
+  const Report rep =
+      lint_trace_text(synthetic(raw_span("0", "1.0", "4294967295"), kOneSpan));
+  EXPECT_TRUE(rep.ok()) << rep.to_string();
+}
+
+TEST(TraceLint, DeepNestingTripsT01) {
+  expect_t01(std::string(200000, '['), "nesting too deep");
+  // The bound is exact: kMaxTraceDepth levels parse, one more does not.
+  const std::string ok_depth = std::string(kMaxTraceDepth, '[') +
+                               std::string(kMaxTraceDepth, ']');
+  expect_t01(ok_depth, "root is not an object");
+  const std::string too_deep = std::string(kMaxTraceDepth + 1, '[') +
+                               std::string(kMaxTraceDepth + 1, ']');
+  expect_t01(too_deep, "nesting too deep at byte " +
+                           std::to_string(kMaxTraceDepth));
+}
+
+TEST(TraceLint, NonJsonNumberSyntaxTripsT01) {
+  for (const char* ts :
+       {"0x1p20", "+1", "01", "1.", ".5", "1e", "1e+", "-", "--1", "1.e3"}) {
+    SCOPED_TRACE(ts);
+    const Report rep = lint_trace_text(synthetic(raw_span(ts), kOneSpan));
+    ASSERT_EQ(rep.diags.size(), 1u) << rep.to_string();
+    EXPECT_EQ(rep.diags[0].rule, Rule::kTraceParse);
+  }
+}
+
+TEST(TraceLint, NonFiniteNumbersTripT01) {
+  for (const char* ts : {"nan", "-nan", "inf", "-inf", "Infinity", "NaN"}) {
+    SCOPED_TRACE(ts);
+    const Report rep = lint_trace_text(synthetic(raw_span(ts), kOneSpan));
+    ASSERT_EQ(rep.diags.size(), 1u) << rep.to_string();
+    EXPECT_EQ(rep.diags[0].rule, Rule::kTraceParse);
+  }
+  expect_t01(synthetic(raw_span("1e400"), kOneSpan),
+             "number outside the finite double range");
+  expect_t01(synthetic(raw_span("0", "-1e999"), kOneSpan),
+             "number outside the finite double range");
+  // Read as NaN, a start compares false against every end (hiding this
+  // T03 overlap) and a NaN makespan bounds nothing (disabling T02).
+  expect_t01(synthetic(span(0.0, 1.0) + "," + raw_span("-nan"),
+                       "\"max_span_end_ns\":1000.0,\"spans\":2,"
+                       "\"counters\":{}"),
+             "malformed number");
+  expect_t01(synthetic(span(0.0, 2.0),
+                       "\"max_span_end_ns\":-nan,\"spans\":1,"
+                       "\"counters\":{}"),
+             "malformed number");
+}
+
+TEST(TraceLint, ShortUnicodeEscapeTripsT01) {
+  for (const char* esc : {"\\u12", "\\u12G4", "\\u-123", "\\u 123"}) {
+    SCOPED_TRACE(esc);
+    const std::string events = "{\"ph\":\"i\",\"name\":\"" +
+                               std::string(esc) + "zzzz\"}";
+    expect_t01(synthetic(events, kOneSpan), "four hex digits");
+  }
+  expect_t01("{\"a\":\"\\u00", "truncated \\u escape");
+}
+
+TEST(TraceLint, NonIntegerTidTripsT01) {
+  for (const char* tid :
+       {"-1", "1.5", "4294967296", "1e10", "\"0\"", "null", "[0]"}) {
+    SCOPED_TRACE(tid);
+    // The rejected span is skipped, so the file declares no spans.
+    expect_t01(synthetic(raw_span("0", "1.0", tid),
+                         "\"max_span_end_ns\":1000.0,\"counters\":{}"),
+               "tid is not an integer in uint32 range");
+  }
+}
+
 TEST(TraceLint, StatsSummaryIsWellFormedJson) {
   core::PimRuntime pim;
   TraceStats stats;

@@ -186,6 +186,9 @@ TEST_F(VerifierTest, LoweredStreamsPassTheAutomaton) {
   EXPECT_TRUE(rep.ok()) << rep.to_string();
 }
 
+// The automaton's "command <i> (<KIND>): " prefix is part of the diagnostic
+// contract, so the tests below pin the exact text, command indices included.
+
 TEST_F(VerifierTest, ActWithoutResetTripsP12) {
   std::vector<mem::Command> cmds;
   model_.lower_step(plan_of(BitOp::kOr, 4).steps[0], cmds);
@@ -194,7 +197,18 @@ TEST_F(VerifierTest, ActWithoutResetTripsP12) {
   for (const mem::Command& c : cmds)
     if (c.kind != mem::CmdKind::kPimReset) broken.push_back(c);
   ASSERT_LT(broken.size(), cmds.size());
-  expect_only(verifier_.check_commands(broken), Rule::kBadCommandOrder);
+  const Report rep = verifier_.check_commands(broken);
+  expect_only(rep, Rule::kBadCommandOrder);
+  // MRS, ACT x4, PIM_SENSE..., PIM_WB: every ACT fires, then the first
+  // sense finds no activated rows.
+  ASSERT_EQ(rep.diags.size(), 5u) << rep.to_string();
+  for (std::size_t i = 0; i < 4; ++i)
+    EXPECT_EQ(rep.diags[i].to_string(),
+              "P12 bad-command-order: command " + std::to_string(i + 1) +
+                  " (ACT): activate outside a reset multi-ACT window");
+  EXPECT_EQ(rep.diags[4].to_string(),
+            "P12 bad-command-order: command 5 (PIM_SENSE): sense with no "
+            "activated rows");
 }
 
 TEST_F(VerifierTest, SenseWithoutActTripsP12) {
@@ -212,7 +226,51 @@ TEST_F(VerifierTest, BypassWithoutSenseTripsP08InTheStream) {
   std::vector<mem::Command> broken;
   for (const mem::Command& c : cmds)
     if (c.kind != mem::CmdKind::kPimSense) broken.push_back(c);
-  expect_only(verifier_.check_commands(broken), Rule::kWriteBypassNoSense);
+  ASSERT_EQ(broken.size(), 7u);  // MRS, PIM_RESET, ACT x4, PIM_WB
+  const Report rep = verifier_.check_commands(broken);
+  expect_only(rep, Rule::kWriteBypassNoSense);
+  ASSERT_EQ(rep.diags.size(), 1u) << rep.to_string();
+  EXPECT_EQ(rep.diags[0].to_string(),
+            "P08 write-bypass-no-sense: command 6 (PIM_WB): write-driver "
+            "bypass without a sense or buffer op result");
+}
+
+TEST_F(VerifierTest, ActOverflowInTheStreamTripsP03) {
+  const mem::RowAddr row{};
+  std::vector<mem::Command> cmds = {{mem::CmdKind::kModeSet, row},
+                                    {mem::CmdKind::kPimReset, row}};
+  for (unsigned r = 0; r <= geo_.rows_per_subarray; ++r)
+    cmds.push_back({mem::CmdKind::kAct, row, BitOp::kOr, r});
+  const Report rep = verifier_.check_commands(cmds);
+  ASSERT_EQ(rep.diags.size(), 1u) << rep.to_string();
+  EXPECT_EQ(rep.diags[0].to_string(),
+            "P03 activation-overflow: command " +
+                std::to_string(cmds.size() - 1) +
+                " (ACT): more ACTs than LWL driver latches (" +
+                std::to_string(geo_.rows_per_subarray) + ")");
+}
+
+TEST_F(VerifierTest, TwoFaultStreamReportsBothCommandIndices) {
+  std::vector<mem::Command> cmds;
+  const PlanStep step = plan_of(BitOp::kOr, 4).steps[0];
+  model_.lower_step(step, cmds);
+  const std::size_t first = cmds.size();
+  model_.lower_step(step, cmds);
+  // A stray precharge inside the first sequence and a plain write inside
+  // the second; neither disturbs the cluster state.
+  const mem::RowAddr row = cmds[0].addr;
+  cmds.insert(cmds.begin() + 3, {mem::CmdKind::kPrecharge, row});
+  const std::size_t second = first + 1 + 4;
+  cmds.insert(cmds.begin() + static_cast<std::ptrdiff_t>(second),
+              {mem::CmdKind::kWrite, row});
+  const Report rep = verifier_.check_commands(cmds);
+  ASSERT_EQ(rep.diags.size(), 2u) << rep.to_string();
+  EXPECT_EQ(rep.diags[0].to_string(),
+            "P12 bad-command-order: command 3 (PRE): not part of a lowered "
+            "PIM sequence");
+  EXPECT_EQ(rep.diags[1].to_string(),
+            "P12 bad-command-order: command " + std::to_string(second) +
+                " (WR): not part of a lowered PIM sequence");
 }
 
 // ---- hazard & resource pass ------------------------------------------------
