@@ -11,8 +11,10 @@
 #include "apps/graph.hpp"
 #include "apps/workloads.hpp"
 #include "common/error.hpp"
+#include "obs/trace.hpp"
 #include "pinatubo/backend.hpp"
 #include "pinatubo/driver.hpp"
+#include "pinatubo/replay.hpp"
 #include "sim/acpim_backend.hpp"
 #include "sim/sdram_backend.hpp"
 #include "sim/simd_backend.hpp"
@@ -246,19 +248,167 @@ TEST(EndToEnd, BatchedExecutionBitIdenticalToSync) {
               1e-6 * sync.stats().serial_time_ns);
 }
 
+/// The differential stream: one vector per trace id, 2^19 bits each (one
+/// full row group), so the runtime's allocation order reproduces the
+/// backend's virtual placements.  Full-group vectors fill 128 rows per
+/// subarray, so id 128 is the first vector of subarray 1.
+constexpr std::uint64_t kDiffBits = 1ull << 19;
+constexpr std::uint64_t kSubarray1 = 128;
+
+sim::OpTrace differential_trace() {
+  sim::OpTrace t;
+  t.name = "differential";
+  t.result_density = 0.5;
+  auto add = [&](BitOp op, std::vector<std::uint64_t> srcs, std::uint64_t dst,
+                 bool host_reads = false) {
+    t.ops.push_back({op, std::move(srcs), dst, kDiffBits, host_reads});
+  };
+  add(BitOp::kOr, {0, 1}, 2);
+  add(BitOp::kOr, {0, 1, 2, 3, 4}, 5);        // chained on Pinatubo-2
+  add(BitOp::kAnd, {3, kSubarray1}, 6);       // operands in two subarrays
+  add(BitOp::kXor, {5, 6}, 7, true);          // host-read tail
+  add(BitOp::kInv, {7}, kSubarray1 + 1);
+  add(BitOp::kAnd, {kSubarray1 + 1, 2}, 4, true);
+  return t;
+}
+
+/// Allocates every id of the differential stream and writes the operands.
+std::vector<core::PimRuntime::Handle> load_differential(core::PimRuntime& rt) {
+  std::vector<core::PimRuntime::Handle> h;
+  Rng rng(31);
+  for (std::uint64_t id = 0; id <= kSubarray1 + 1; ++id) {
+    h.push_back(rt.pim_malloc(kDiffBits));
+    if (id <= 7 || id >= kSubarray1)
+      rt.pim_write(h.back(), BitVector::random(kDiffBits, 0.4, rng));
+  }
+  return h;
+}
+
+void issue(core::PimRuntime& rt,
+           const std::vector<core::PimRuntime::Handle>& h,
+           const sim::TraceOp& op) {
+  std::vector<core::PimRuntime::Handle> srcs;
+  for (const auto id : op.srcs) srcs.push_back(h[id]);
+  rt.pim_op(op.op, srcs, h[op.dst], op.host_reads_result);
+}
+
+core::PimRuntime::Options differential_options(unsigned max_rows,
+                                               bool serial) {
+  core::PimRuntime::Options o;
+  o.max_rows = max_rows;
+  o.serial_execution = serial;
+  o.record_commands = true;
+  return o;
+}
+
+/// Replaying the runtime's recorded commands on a twin holding only the
+/// initial data must reproduce every vector the runtime computed.
+void expect_replay_reproduces(core::PimRuntime& rt,
+                              const std::vector<core::PimRuntime::Handle>& h,
+                              const core::PimRuntime::Options& opts) {
+  core::PimRuntime twin({}, opts);
+  const auto th = load_differential(twin);
+  core::CommandReplayer replayer(twin.memory());
+  replayer.execute_all(rt.commands());
+  for (std::size_t i = 0; i < h.size(); ++i)
+    ASSERT_EQ(twin.pim_read(th[i]), rt.pim_read(h[i])) << "vector " << i;
+}
+
 TEST(EndToEnd, RuntimeCostAgreesWithBackend) {
   // The functional runtime and the analytic backend must charge the same
-  // cost for the same op stream (same placements, same plans).
-  core::PimRuntime rt;
-  std::vector<core::PimRuntime::Handle> hs;
-  for (int i = 0; i < 4; ++i) hs.push_back(rt.pim_malloc(1ull << 14));
-  rt.pim_op(BitOp::kOr, {hs[0], hs[1], hs[2], hs[3]}, hs[3]);
+  // cost for the same op stream (same placements, same plans, same
+  // engine): the whole stream as one batch window matches the backend's
+  // one-batch trace exactly, overlapped and serial; a synchronous op
+  // followed by a window sums to the same serial cost.
+  const sim::OpTrace trace = differential_trace();
+  std::uint64_t intra_at_128 = 0;
+  for (const unsigned max_rows : {128u, 2u})
+    for (const bool serial : {false, true}) {
+      SCOPED_TRACE("max_rows " + std::to_string(max_rows) +
+                   (serial ? " serial" : " overlapped"));
+      core::PinatuboBackend backend(
+          {}, {nvm::Tech::kPcm, max_rows, core::AllocPolicy::kPimAware,
+               serial});
+      obs::TraceSession backend_trace(true);
+      backend.set_trace(&backend_trace);
+      const mem::Cost want = backend.execute(trace).bitwise;
+      const auto classes = backend.last_class_counts();
 
-  core::PinatuboBackend backend({}, {nvm::Tech::kPcm, 128});
-  const auto cost =
-      backend.op_cost(BitOp::kOr, {0, 1, 2, 3}, 3, 1ull << 14, false, 0.5);
-  EXPECT_NEAR(rt.cost().time_ns, cost.time_ns, 1e-9);
-  EXPECT_NEAR(rt.cost().energy.total_pj(), cost.energy.total_pj(), 1e-6);
+      const auto opts = differential_options(max_rows, serial);
+      core::PimRuntime rt({}, opts);
+      obs::TraceSession rt_trace(true);
+      rt.set_trace(&rt_trace);
+      const auto h = load_differential(rt);
+      rt.pim_begin();
+      for (const auto& op : trace.ops) issue(rt, h, op);
+      rt.pim_barrier();
+
+      EXPECT_EQ(rt.cost().time_ns, want.time_ns);
+      EXPECT_EQ(rt.cost().energy.components(), want.energy.components());
+      const auto& st = rt.stats();
+      EXPECT_EQ(st.batches, 1u);
+      EXPECT_EQ(st.intra_steps, classes.intra);
+      EXPECT_EQ(st.inter_sub_steps, classes.inter_sub);
+      EXPECT_EQ(st.inter_bank_steps, classes.inter_bank);
+      EXPECT_GT(st.inter_sub_steps, 0u);
+      EXPECT_GT(st.host_reads, 0u);
+      if (max_rows == 128)
+        intra_at_128 = st.intra_steps;
+      else
+        EXPECT_GT(st.intra_steps, intra_at_128);  // the 5-way OR chains
+
+      // Same schedule: both traces hold the same spans, so the per-class
+      // profiles (span sums and counts) agree too.
+      ASSERT_EQ(rt_trace.spans().size(), backend_trace.spans().size());
+      EXPECT_EQ(rt_trace.track_names(), backend_trace.track_names());
+      for (std::size_t i = 0; i < rt_trace.spans().size(); ++i) {
+        const auto& a = rt_trace.spans()[i];
+        const auto& b = backend_trace.spans()[i];
+        EXPECT_EQ(a.name, b.name) << "span " << i;
+        EXPECT_EQ(a.category, b.category) << "span " << i;
+        EXPECT_EQ(a.track, b.track) << "span " << i;
+        EXPECT_EQ(a.start_ns, b.start_ns) << "span " << i;
+        EXPECT_EQ(a.dur_ns, b.dur_ns) << "span " << i;
+      }
+      for (std::size_t k = 0; k < core::kStepKindCount; ++k) {
+        double span_ns = 0.0;
+        std::uint64_t spans = 0;
+        for (const auto& s : backend_trace.spans())
+          if (s.category == to_string(static_cast<core::StepKind>(k))) {
+            span_ns += s.dur_ns;
+            ++spans;
+          }
+        EXPECT_EQ(st.by_class[k].steps, spans) << "class " << k;
+        EXPECT_NEAR(st.by_class[k].time_ns, span_ns,
+                    1e-9 * (1.0 + span_ns))
+            << "class " << k;
+      }
+      expect_replay_reproduces(rt, h, opts);
+
+      if (!serial) continue;
+      // A synchronous op, then the rest in one window: the serial price
+      // is the same step sum, split over two batches.
+      core::PimRuntime mixed({}, opts);
+      const auto hm = load_differential(mixed);
+      issue(mixed, hm, trace.ops[0]);
+      mixed.pim_begin();
+      for (std::size_t i = 1; i < trace.ops.size(); ++i)
+        issue(mixed, hm, trace.ops[i]);
+      mixed.pim_barrier();
+      EXPECT_DOUBLE_EQ(mixed.cost().time_ns, want.time_ns);
+      EXPECT_DOUBLE_EQ(mixed.cost().energy.total_pj(),
+                       want.energy.total_pj());
+      EXPECT_EQ(mixed.stats().batches, 2u);
+      for (std::size_t k = 0; k < core::kStepKindCount; ++k) {
+        EXPECT_EQ(mixed.stats().by_class[k].steps, st.by_class[k].steps);
+        EXPECT_DOUBLE_EQ(mixed.stats().by_class[k].time_ns,
+                         st.by_class[k].time_ns);
+        EXPECT_DOUBLE_EQ(mixed.stats().by_class[k].energy_pj,
+                         st.by_class[k].energy_pj);
+      }
+      EXPECT_EQ(mixed.commands().size(), rt.commands().size());
+      expect_replay_reproduces(mixed, hm, opts);
+    }
 }
 
 }  // namespace
