@@ -9,19 +9,16 @@
 
 #include "common/table.hpp"
 #include "common/units.hpp"
-#include "pinatubo/allocator.hpp"
-#include "pinatubo/cost_model.hpp"
+#include "pinatubo/backend.hpp"
 #include "pinatubo/engine.hpp"
-#include "pinatubo/scheduler.hpp"
 
 using namespace pinatubo;
 using namespace pinatubo::core;
 
 int main() {
   const mem::Geometry geo;
-  RowAllocator alloc(geo, AllocPolicy::kPimAware);
-  OpScheduler sched(geo, SchedulerConfig{128, nvm::Tech::kPcm});
-  PinatuboCostModel model(geo, nvm::Tech::kPcm);
+  const PinatuboBackend pin(geo, {nvm::Tech::kPcm, 128});
+  const PinatuboCostModel model(geo, nvm::Tech::kPcm);
 
   Table t("Extension — synchronous driver vs execution engine");
   t.set_header({"workload", "ops", "serial", "engine", "speedup"});
@@ -32,26 +29,24 @@ int main() {
   for (const unsigned n : {2u, 8u, 128u}) {
     // 64 independent n-row ORs, consecutive ops on alternating ranks
     // (a batch scheduler would interleave exactly like this).
-    std::vector<OpPlan> plans;
+    sim::OpTrace batch;
     std::vector<std::uint64_t> cursor{0, rank1};
     for (int op = 0; op < 64; ++op) {
-      auto& index = cursor[op % 2];
-      std::vector<Placement> srcs;
-      for (unsigned k = 0; k < n; ++k)
-        srcs.push_back(alloc.virtual_placement(index++, 1ull << 19));
-      plans.push_back(sched.plan(BitOp::kOr, srcs, srcs.back(), false));
+      sim::TraceOp o{BitOp::kOr, {}, 0, 1ull << 19};
+      for (unsigned k = 0; k < n; ++k) o.srcs.push_back(cursor[op % 2]++);
+      o.dst = o.srcs.back();
+      batch.ops.push_back(std::move(o));
     }
-    mem::Cost serial;
-    for (const auto& p : plans) serial += model.plan_cost(p);
-    const ExecutionEngine engine(model);
-    const auto r = engine.run(plans);
+    const std::vector<OpPlan> plans = pin.plan(batch);
+    const auto serial = ExecutionEngine(model, EngineOptions{true}).run(plans);
+    const auto r = ExecutionEngine(model).run(plans);
     t.add_row({std::to_string(n) + "-row OR x64", "64",
-               units::format_time(serial.time_ns),
+               units::format_time(serial.cost.time_ns),
                units::format_time(r.cost.time_ns),
-               Table::mult(serial.time_ns / r.cost.time_ns)});
+               Table::mult(serial.cost.time_ns / r.cost.time_ns)});
     // Energy must be schedule-invariant.
-    if (std::abs(serial.energy.total_pj() - r.cost.energy.total_pj()) >
-        1e-6 * serial.energy.total_pj())
+    if (std::abs(serial.cost.energy.total_pj() - r.cost.energy.total_pj()) >
+        1e-6 * serial.cost.energy.total_pj())
       std::printf("WARNING: energy changed under the engine schedule!\n");
   }
   t.add_note("ops alternate ranks every 128 rows of allocation, so the");

@@ -22,10 +22,8 @@
 #include "common/table.hpp"
 #include "common/units.hpp"
 #include "obs/schedule_trace.hpp"
-#include "pinatubo/allocator.hpp"
 #include "pinatubo/backend.hpp"
 #include "pinatubo/engine.hpp"
-#include "pinatubo/scheduler.hpp"
 
 using namespace pinatubo;
 using namespace pinatubo::bench;
@@ -80,47 +78,42 @@ int main(int argc, char** argv) {
   // 64 independent 8-row ORs on full-group (2^19-bit) vectors whose
   // consecutive ops alternate ranks: the engine overlaps the two rank
   // clusters, the serial baseline sums every op.
-  core::RowAllocator alloc(geo, core::AllocPolicy::kPimAware);
-  core::OpScheduler sched(geo, core::SchedulerConfig{128, nvm::Tech::kPcm});
-  core::PinatuboCostModel model(geo, nvm::Tech::kPcm);
-
   constexpr unsigned kOps = 64;
   constexpr unsigned kRowsPerOp = 8;
   constexpr std::uint64_t kBits = 1ull << 19;
   // Full-group vectors: 128 rows/subarray, 64 subarrays/rank, so index
   // 8192 is the first vector of rank 1.
   const std::uint64_t rank1 = 64ull * 128;
-  std::vector<core::OpPlan> plans;
+  sim::OpTrace batch;
   std::vector<std::uint64_t> cursor{0, rank1};
   for (unsigned op = 0; op < kOps; ++op) {
-    auto& index = cursor[op % 2];
-    std::vector<core::Placement> srcs;
+    sim::TraceOp o{BitOp::kOr, {}, 0, kBits};
     for (unsigned k = 0; k < kRowsPerOp; ++k)
-      srcs.push_back(alloc.virtual_placement(index++, kBits));
-    plans.push_back(sched.plan(BitOp::kOr, srcs, srcs.back(), false));
+      o.srcs.push_back(cursor[op % 2]++);
+    o.dst = o.srcs.back();
+    batch.ops.push_back(std::move(o));
   }
+  const std::vector<core::OpPlan> plans = pin.plan(batch);
 
   const double moved_bytes =
       static_cast<double>(kOps) * kRowsPerOp * kBits / 8.0;
-  mem::Cost serial;
-  for (const auto& p : plans) serial += model.plan_cost(p);
-  const double serial_gbps = moved_bytes / serial.time_ns;
-
+  const core::PinatuboCostModel model(geo, nvm::Tech::kPcm);
   const core::ExecutionEngine engine(
       model, core::EngineOptions{serial_only});
   const auto r = engine.run(plans);
+  const double serial_gbps = moved_bytes / r.serial_time_ns;
   const double engine_gbps = moved_bytes / r.cost.time_ns;
 
   Table bt(serial_only
                ? "Batched throughput — serial baseline (--serial)"
                : "Batched throughput — engine vs serial baseline");
   bt.set_header({"schedule", "time", "GBps"});
-  bt.add_row({"serial sum", units::format_time(serial.time_ns),
+  bt.add_row({"serial sum", units::format_time(r.serial_time_ns),
               Table::num(serial_gbps, 3)});
   bt.add_row({serial_only ? "engine (serial mode)" : "engine (overlapped)",
               units::format_time(r.cost.time_ns),
               Table::num(engine_gbps, 3)});
-  bt.add_row({"speedup", "-", Table::mult(serial.time_ns / r.cost.time_ns)});
+  bt.add_row({"speedup", "-", Table::mult(r.serial_time_ns / r.cost.time_ns)});
   bt.add_note("64 independent 8-row ORs on 2^19-bit vectors, ops alternate");
   bt.add_note("ranks; the engine overlaps the two rank clusters");
   std::printf("\n");
@@ -129,7 +122,7 @@ int main(int argc, char** argv) {
   json.add("batched_ops", static_cast<double>(kOps));
   json.add("batched_serial_gbps", serial_gbps);
   json.add("batched_engine_gbps", engine_gbps);
-  json.add("batched_speedup", serial.time_ns / r.cost.time_ns);
+  json.add("batched_speedup", r.serial_time_ns / r.cost.time_ns);
   json.add("engine_mode", serial_only ? "serial" : "overlapped");
   json.write(parse_json_path(argc, argv));
 

@@ -1,10 +1,6 @@
-// Monotonic counter registry.
-//
-// Named u64 counters the runtime bumps as work flows through it
-// (ops, batches, steps per class, bus bytes).  The registry is the
-// machine-readable twin of `PimRuntime::Stats`: tests assert the two
-// reconcile exactly, which is what catches accounting drift when the
-// engine or driver changes.
+// Monotonic counter registry: named u64 counters a traced run bumps as
+// work flows through it (ops, batches, steps per class, bus bytes,
+// reliability events), exported alongside the trace's spans.
 #pragma once
 
 #include <cstdint>

@@ -6,11 +6,11 @@
 
 namespace pinatubo::obs {
 
-double render_schedule(TraceSession& session,
-                       const std::vector<core::OpPlan>& plans,
-                       const core::ExecutionEngine::Result& result,
-                       double t0_ns) {
-  if (!session.enabled()) return t0_ns + result.cost.time_ns;
+void render_schedule(TraceSession& session,
+                     const std::vector<core::OpPlan>& plans,
+                     const core::ExecutionEngine::Result& result,
+                     double t0_ns) {
+  if (!session.enabled()) return;
   for (const auto& ss : result.schedule) {
     PIN_CHECK_MSG(ss.plan < plans.size() &&
                       ss.step < plans[ss.plan].steps.size(),
@@ -35,7 +35,6 @@ double render_schedule(TraceSession& session,
                    bus_track, "bus");
     }
   }
-  return t0_ns + result.cost.time_ns;
 }
 
 }  // namespace pinatubo::obs

@@ -8,7 +8,7 @@
 //     burst window of every step that moves bytes off-rank, so bus
 //     contention is visible as back-to-back spans on a single line.
 // Span durations are exactly the engine's per-step costs, which is what
-// makes the trace reconcile with ClassProfile/Stats (see obs/trace.hpp).
+// makes the trace reconcile with the ClassProfile (see obs/trace.hpp).
 #pragma once
 
 #include <vector>
@@ -21,10 +21,9 @@ namespace pinatubo::obs {
 /// Appends one priced batch to `session`, shifting every span by `t0_ns`
 /// (successive batches tile the session timeline back-to-back, mirroring
 /// how the runtime accrues batch makespans serially into its cost).
-/// Returns the batch's end on the session timeline: t0_ns + makespan.
-double render_schedule(TraceSession& session,
-                       const std::vector<core::OpPlan>& plans,
-                       const core::ExecutionEngine::Result& result,
-                       double t0_ns);
+void render_schedule(TraceSession& session,
+                     const std::vector<core::OpPlan>& plans,
+                     const core::ExecutionEngine::Result& result,
+                     double t0_ns);
 
 }  // namespace pinatubo::obs

@@ -7,11 +7,11 @@
 // timeline, one per channel data bus), so a priced batch renders as a
 // Gantt chart of where the makespan went.
 //
-// The session is deliberately dumb: callers record *already-priced* spans
-// (the execution engine's schedule is the source of truth), so the trace
-// reconciles exactly with the runtime's Stats/ClassProfile accounting —
-// per-class span sums equal the profile's serial time and the max span end
-// equals the makespan.  Tests assert both invariants.
+// The session is deliberately dumb: callers record *already-priced* spans.
+// Both front doors render the engine's schedule through `core::run_batch`,
+// so the trace reconciles exactly with the `ClassProfile` it was priced
+// from — per-class span sums equal the profile's serial time and the max
+// span end equals the makespan (`verify::reconcile_trace` checks both).
 //
 // A disabled session (the default) drops every record at a single branch;
 // hot paths guard with `enabled()` so tracing off costs one predictable

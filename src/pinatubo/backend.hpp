@@ -13,6 +13,7 @@
 #include "obs/trace.hpp"
 #include "pinatubo/allocator.hpp"
 #include "pinatubo/cost_model.hpp"
+#include "pinatubo/engine.hpp"
 #include "pinatubo/scheduler.hpp"
 #include "reliability/policy.hpp"
 #include "sim/backend.hpp"
@@ -39,13 +40,21 @@ class PinatuboBackend final : public sim::Backend {
                            const PinatuboBackendConfig& cfg = {});
 
   std::string name() const override;
+  /// Prices the whole trace as one batch through `run_batch`.
   sim::BackendResult execute(const sim::OpTrace& trace) override;
 
-  /// Step-class counts of the last executed trace (workload analysis).
+  /// Lowers one op, or every op of a trace, into plans over the virtual
+  /// placements of its logical ids — the plans `execute`, `op_cost` and
+  /// plan_lint price.
+  OpPlan plan(const sim::TraceOp& op) const;
+  std::vector<OpPlan> plan(const sim::OpTrace& trace) const;
+
+  /// Step-class counts of the last executed trace (workload analysis),
+  /// read from the engine's profile.
   struct ClassCounts {
     std::uint64_t intra = 0, inter_sub = 0, inter_bank = 0;
   };
-  const ClassCounts& last_class_counts() const { return classes_; }
+  ClassCounts last_class_counts() const;
 
   /// Cost of a single op given operand/destination indices (benches).
   mem::Cost op_cost(BitOp op, const std::vector<std::uint64_t>& src_ids,
@@ -62,9 +71,9 @@ class PinatuboBackend final : public sim::Backend {
   PinatuboBackendConfig cfg_;
   RowAllocator alloc_;
   OpScheduler sched_;
-  ClassCounts classes_;
+  ClassProfile profile_;   ///< the last executed trace's
   obs::TraceSession* trace_ = nullptr;
-  double trace_t0_ = 0.0;  ///< session-timeline end of the last trace
+  double trace_t0_ = 0.0;  ///< summed makespan of the traces so far
 };
 
 }  // namespace pinatubo::core

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "common/error.hpp"
-#include "obs/schedule_trace.hpp"
 
 namespace pinatubo::core {
 
@@ -158,8 +157,9 @@ void PimRuntime::pim_write(Handle h, const BitVector& data) {
   const Placement& p = placement(h);
   PIN_CHECK_MSG(data.size() == p.bits,
                 "vector is " << p.bits << " bits, got " << data.size());
+  const reliability::Counters before = rel_counters();
   scatter(p, data);
-  sync_reliability();
+  trace_reliability(before);
 }
 
 BitVector PimRuntime::pim_read(Handle h) const { return gather(placement(h)); }
@@ -405,7 +405,7 @@ bool PimRuntime::reliable_activation(BitOp op,
 }
 
 void PimRuntime::submit(OpPlan plan) {
-  ++stats_.ops;
+  ++tally_.ops;
   if (verifier_ &&
       opts_.reliability.verify.level == reliability::VerifyLevel::kAlways) {
     const verify::Report rep = verifier_->check(plan);
@@ -415,10 +415,6 @@ void PimRuntime::submit(OpPlan plan) {
                       << rep.to_string());
   }
   if (trace_ && trace_->enabled()) trace_->count("pim.ops");
-  stats_.intra_steps += plan.count(StepKind::kIntraSub);
-  stats_.inter_sub_steps += plan.count(StepKind::kInterSub);
-  stats_.inter_bank_steps += plan.count(StepKind::kInterBank);
-  stats_.host_reads += plan.count(StepKind::kHostRead);
   if (in_batch_) {
     batch_plans_.push_back(std::move(plan));
     return;
@@ -428,34 +424,14 @@ void PimRuntime::submit(OpPlan plan) {
 }
 
 void PimRuntime::flush(const std::vector<OpPlan>& plans) {
-  const ExecutionEngine::Result r = engine_.run(plans);
-  if (verifier_) {
-    const verify::Report rep =
-        verifier_->check(plans, r, opts_.serial_execution);
-    PIN_CHECK_MSG(rep.ok(), "static verifier rejected a batch of "
-                                << plans.size() << " plans:\n"
-                                << rep.to_string());
-  }
-  if (trace_ && trace_->enabled()) {
-    // Batches tile the trace timeline exactly where they accrue into
-    // cost_: batch i starts at the makespan accumulated before it.
-    obs::render_schedule(*trace_, plans, r, cost_.time_ns);
-    trace_->count("pim.batches");
-    trace_->count("pim.bus_bytes", r.profile.bus_bytes);
-    for (std::size_t k = 0; k < kStepKindCount; ++k)
-      trace_->count(std::string("pim.steps.") +
-                        to_string(static_cast<StepKind>(k)),
-                    r.profile.steps[k]);
-  }
+  // Batches tile the trace timeline exactly where they accrue into
+  // cost_: batch i starts at the makespan accumulated before it.
+  const ExecutionEngine::Result r =
+      run_batch(engine_, plans, verifier_.get(), trace_, cost_.time_ns);
   cost_ += r.cost;
-  ++stats_.batches;
-  stats_.serial_time_ns += r.serial_time_ns;
-  stats_.bus_bytes += r.profile.bus_bytes;
-  for (std::size_t k = 0; k < kStepKindCount; ++k) {
-    stats_.by_class[k].time_ns += r.profile.time_ns[k];
-    stats_.by_class[k].energy_pj += r.profile.energy_pj[k];
-    stats_.by_class[k].steps += r.profile.steps[k];
-  }
+  ++tally_.batches;
+  tally_.serial_time_ns += r.serial_time_ns;
+  profile_ += r.profile;
   if (opts_.record_commands) {
     // Commands interleave across plans in schedule order; each step's
     // sequence is self-contained, so the stream stays replayable.
@@ -486,6 +462,7 @@ void PimRuntime::pim_op(BitOp op, const std::vector<Handle>& srcs, Handle dst,
 
   OpPlan plan = sched_.plan(op, src_p, dst_p, host_reads_result);
   const bool intra = plan.count(StepKind::kIntraSub) > 0;
+  const reliability::Counters before = rel_counters();
 
   if (intra && relmgr_) {
     // Analog path under the recovery ladder.  Snapshot dst-aliasing
@@ -515,26 +492,24 @@ void PimRuntime::pim_op(BitOp op, const std::vector<Handle>& srcs, Handle dst,
       submit(std::move(executed));  // the failed attempts still cost time
       fallback_op(op, src_p, dst_p, snapshots, srcs, dst, host_reads_result);
     }
-    sync_reliability();
-    return;
-  }
-
-  submit(std::move(plan));
-
-  // Functional execution (eager even inside a batch: program order keeps
-  // interleaved pim_write / pim_read semantics; only pricing defers).
-  if (intra) {
-    execute_intra(op, src_p, dst_p, sched_.effective_max_rows(op));
   } else {
-    // Buffer paths compute exactly in digital logic.
-    std::vector<BitVector> operands;
-    operands.reserve(src_p.size());
-    for (const auto& p : src_p) operands.push_back(gather(p));
-    std::vector<const BitVector*> ptrs;
-    for (const auto& v : operands) ptrs.push_back(&v);
-    scatter(dst_p, BitVector::reduce(op, ptrs));
-    sync_reliability();  // scatter may have detected write faults
+    submit(std::move(plan));
+    // Functional execution (eager even inside a batch: program order keeps
+    // interleaved pim_write / pim_read semantics; only pricing defers).
+    if (intra) {
+      execute_intra(op, src_p, dst_p, sched_.effective_max_rows(op));
+    } else {
+      // Buffer paths compute exactly in digital logic (the scatter may
+      // detect write faults).
+      std::vector<BitVector> operands;
+      operands.reserve(src_p.size());
+      for (const auto& p : src_p) operands.push_back(gather(p));
+      std::vector<const BitVector*> ptrs;
+      for (const auto& v : operands) ptrs.push_back(&v);
+      scatter(dst_p, BitVector::reduce(op, ptrs));
+    }
   }
+  trace_reliability(before);
 }
 
 void PimRuntime::fallback_op(BitOp op, const std::vector<Placement>& src_p,
@@ -567,8 +542,8 @@ void PimRuntime::fallback_op(BitOp op, const std::vector<Placement>& src_p,
   top.host_reads_result = host_reads_result;
   const mem::Cost c = cpu_->bulk_op(top);
   ++relmgr_->counters().fallbacks;
-  stats_.fallback_time_ns += c.time_ns;
-  stats_.fallback_energy_pj += c.energy.total_pj();
+  tally_.fallback_time_ns += c.time_ns;
+  tally_.fallback_energy_pj += c.energy.total_pj();
   if (trace_ && trace_->enabled()) {
     // The fallback tiles at the accrued makespan on its own host track;
     // its category is not a step class, so SpanSums-style per-class
@@ -578,27 +553,43 @@ void PimRuntime::fallback_op(BitOp op, const std::vector<Placement>& src_p,
                  c.time_ns, tr, "cpu-fallback");
   }
   cost_ += c;
-  stats_.serial_time_ns += c.time_ns;
+  tally_.serial_time_ns += c.time_ns;
 }
 
-void PimRuntime::sync_reliability() {
-  if (!relmgr_) return;
-  const reliability::Counters& c = relmgr_->counters();
-  auto bump = [&](const char* key, std::uint64_t cur, std::uint64_t& last,
-                  std::uint64_t& stat) {
-    const std::uint64_t d = cur - last;
-    if (d == 0) return;
-    if (trace_ && trace_->enabled()) trace_->count(key, d);
-    stat += d;
-    last = cur;
+reliability::Counters PimRuntime::rel_counters() const {
+  return relmgr_ ? relmgr_->counters() : reliability::Counters{};
+}
+
+void PimRuntime::trace_reliability(const reliability::Counters& before) {
+  if (!trace_ || !trace_->enabled()) return;
+  const reliability::Counters now = rel_counters();
+  auto emit = [&](const char* key, std::uint64_t was, std::uint64_t is) {
+    if (is != was) trace_->count(key, is - was);
   };
-  bump("pim.detected_faults", c.detected_faults, last_rel_.detected_faults,
-       stats_.detected_faults);
-  bump("pim.retries", c.retries, last_rel_.retries, stats_.retries);
-  bump("pim.deescalations", c.deescalations, last_rel_.deescalations,
-       stats_.deescalations);
-  bump("pim.remaps", c.remaps, last_rel_.remaps, stats_.remaps);
-  bump("pim.fallbacks", c.fallbacks, last_rel_.fallbacks, stats_.fallbacks);
+  emit("pim.detected_faults", before.detected_faults, now.detected_faults);
+  emit("pim.retries", before.retries, now.retries);
+  emit("pim.deescalations", before.deescalations, now.deescalations);
+  emit("pim.remaps", before.remaps, now.remaps);
+  emit("pim.fallbacks", before.fallbacks, now.fallbacks);
+}
+
+PimRuntime::Stats PimRuntime::stats() const {
+  Stats s;
+  s.ops = tally_.ops;
+  s.intra_steps = profile_.steps[step_index(StepKind::kIntraSub)];
+  s.inter_sub_steps = profile_.steps[step_index(StepKind::kInterSub)];
+  s.inter_bank_steps = profile_.steps[step_index(StepKind::kInterBank)];
+  s.host_reads = profile_.steps[step_index(StepKind::kHostRead)];
+  s.batches = tally_.batches;
+  s.bus_bytes = profile_.bus_bytes;
+  s.serial_time_ns = tally_.serial_time_ns;
+  for (std::size_t k = 0; k < kStepKindCount; ++k)
+    s.by_class[k] = {profile_.time_ns[k], profile_.energy_pj[k],
+                     profile_.steps[k]};
+  static_cast<reliability::Counters&>(s) = rel_counters();
+  s.fallback_time_ns = tally_.fallback_time_ns;
+  s.fallback_energy_pj = tally_.fallback_energy_pj;
+  return s;
 }
 
 void PimRuntime::pim_copy(Handle src, Handle dst) {
@@ -609,8 +600,9 @@ void PimRuntime::pim_copy(Handle src, Handle dst) {
   // (identical datapath; the differential output tap is free) and execute
   // the straight copy functionally.
   submit(sched_.plan(BitOp::kInv, {src_p}, dst_p, false));
+  const reliability::Counters before = rel_counters();
   scatter(dst_p, gather(src_p));
-  sync_reliability();
+  trace_reliability(before);
 }
 
 void PimRuntime::pim_op_batch(const std::vector<BatchOp>& ops) {
@@ -621,8 +613,10 @@ void PimRuntime::pim_op_batch(const std::vector<BatchOp>& ops) {
 
 void PimRuntime::reset_cost() {
   cost_ = {};
-  stats_ = {};
+  profile_ = {};
+  tally_ = {};
   commands_.clear();
+  if (relmgr_) relmgr_->counters() = {};
 }
 
 void PimRuntime::reset_campaign() {
@@ -634,7 +628,6 @@ void PimRuntime::reset_campaign() {
   if (fault_model_) fault_model_->reset();
   if (relmgr_) relmgr_->reset();
   if (cpu_) cpu_->reset();  // the fallback model's simulated cache
-  last_rel_ = {};
   batch_plans_.clear();
   reset_cost();
 }

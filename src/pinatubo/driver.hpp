@@ -63,7 +63,11 @@ class PimRuntime {
     std::uint64_t steps = 0;
   };
 
-  struct Stats {
+  /// Counts read off the runtime's one record of each: step counts and
+  /// the per-class breakdown from the engine's `ClassProfile`, so they
+  /// cover priced batches only (a window's steps land at pim_barrier());
+  /// the inherited reliability counts from the recovery manager.
+  struct Stats : reliability::Counters {
     std::uint64_t ops = 0;
     std::uint64_t intra_steps = 0;
     std::uint64_t inter_sub_steps = 0;
@@ -74,14 +78,7 @@ class PimRuntime {
     double serial_time_ns = 0.0;   ///< no-overlap baseline for cost().time_ns
     /// Breakdown by step class, indexed by `step_index(StepKind)`.
     ClassBreakdown by_class[kStepKindCount] = {};
-
-    // ---- reliability (mirror of the recovery manager's counters) ---------
-    std::uint64_t detected_faults = 0;  ///< verify mismatches (sense + write)
-    std::uint64_t retries = 0;          ///< extra sense attempts
-    std::uint64_t deescalations = 0;    ///< activation splits (128 -> 2x64..)
-    std::uint64_t remaps = 0;           ///< rank-rows moved to spares
-    std::uint64_t fallbacks = 0;        ///< ops completed on the CPU path
-    double fallback_time_ns = 0.0;      ///< CPU-path share of cost().time_ns
+    double fallback_time_ns = 0.0;  ///< CPU-path share of cost().time_ns
     double fallback_energy_pj = 0.0;
   };
 
@@ -137,19 +134,20 @@ class PimRuntime {
 
   /// Accumulated cost of every pim_op so far.
   const mem::Cost& cost() const { return cost_; }
-  const Stats& stats() const { return stats_; }
+  Stats stats() const;
+  /// Per-class record of every priced batch (the engine profiles summed).
+  const ClassProfile& profile() const { return profile_; }
   const std::vector<mem::Command>& commands() const { return commands_; }
+  /// Zeroes cost, stats, the command log and the reliability counters.
   void reset_cost();
 
   /// Attaches an observability session (nullptr detaches).  While attached
-  /// and enabled, every priced batch lands in the session as spans on
-  /// per-rank / per-bus tracks tiled end-to-end (batch i starts where the
-  /// accrued cost stood), and the `pim.*` counters mirror Stats — so the
-  /// trace reconciles exactly: per-class span sums equal
-  /// `stats().by_class[k].time_ns` and the max span end equals
-  /// `cost().time_ns`.  Costs one branch per batch when disabled.
+  /// and enabled, `run_batch` renders every priced batch as spans tiled
+  /// end-to-end (batch i starts where the accrued cost stood) plus the
+  /// batch counters; `pim.ops` and the reliability counters ride along.
+  /// Per-class span sums equal `profile().time_ns[k]` and the max span end
+  /// equals `cost().time_ns`.  Costs one branch per batch when disabled.
   void set_trace(obs::TraceSession* session) { trace_ = session; }
-  obs::TraceSession* trace() const { return trace_; }
 
   const mem::Geometry& geometry() const { return mem_.geometry(); }
   const Options& options() const { return opts_; }
@@ -209,12 +207,15 @@ class PimRuntime {
                    const std::vector<std::optional<BitVector>>& snapshots,
                    const std::vector<Handle>& srcs, Handle dst,
                    bool host_reads_result);
-  /// Mirrors the recovery counters into Stats and the pim.* trace counters.
-  void sync_reliability();
-  /// Counts the plan into stats and routes it: enqueue when a batch is
-  /// open, price as a batch-of-one otherwise.
+  /// The recovery manager's counters (zero without one).
+  reliability::Counters rel_counters() const;
+  /// Emits the reliability counters moved since `before` as `pim.*`
+  /// trace counters.
+  void trace_reliability(const reliability::Counters& before);
+  /// Counts the op and routes its plan: enqueue when a batch is open,
+  /// price as a batch-of-one otherwise.
   void submit(OpPlan plan);
-  /// Prices a batch through the engine and accrues cost/stats/commands.
+  /// Prices a batch through `run_batch` and accrues cost/profile/commands.
   void flush(const std::vector<OpPlan>& plans);
 
   Options opts_;
@@ -226,7 +227,13 @@ class PimRuntime {
   std::unordered_map<Handle, Placement> vectors_;
   Handle next_handle_ = 1;
   mem::Cost cost_;
-  Stats stats_;
+  ClassProfile profile_;
+  /// The Stats fields neither the profile nor the recovery counters hold.
+  struct Tally {
+    std::uint64_t ops = 0, batches = 0;
+    double serial_time_ns = 0.0;  ///< batches' serial sums + CPU fallbacks
+    double fallback_time_ns = 0.0, fallback_energy_pj = 0.0;
+  } tally_;
   std::vector<mem::Command> commands_;
   obs::TraceSession* trace_ = nullptr;
   bool in_batch_ = false;
@@ -235,7 +242,6 @@ class PimRuntime {
   std::unique_ptr<reliability::RecoveryManager> relmgr_;
   std::unique_ptr<verify::Verifier> verifier_;
   std::unique_ptr<sim::SimdCpuModel> cpu_;  ///< lazy fallback cost model
-  reliability::Counters last_rel_;          ///< sync_reliability snapshot
 };
 
 }  // namespace pinatubo::core

@@ -7,6 +7,8 @@
 #include "common/error.hpp"
 #include "common/parallel.hpp"
 #include "mem/cmd_timer.hpp"
+#include "obs/schedule_trace.hpp"
+#include "verify/verifier.hpp"
 
 namespace pinatubo::core {
 
@@ -249,6 +251,29 @@ ExecutionEngine::Result ExecutionEngine::run(
   for (const auto& t : timers) makespan = std::max(makespan, t.finish_ns());
   res.cost.time_ns = makespan;
   return res;
+}
+
+ExecutionEngine::Result run_batch(const ExecutionEngine& engine,
+                                  const std::vector<OpPlan>& plans,
+                                  const verify::Verifier* gate,
+                                  obs::TraceSession* trace, double t0_ns) {
+  ExecutionEngine::Result r = engine.run(plans);
+  if (gate != nullptr) {
+    const verify::Report rep = gate->check(plans, r, engine.options().serial);
+    PIN_CHECK_MSG(rep.ok(), "static verifier rejected a batch of "
+                                << plans.size() << " plans:\n"
+                                << rep.to_string());
+  }
+  if (trace != nullptr && trace->enabled()) {
+    obs::render_schedule(*trace, plans, r, t0_ns);
+    trace->count("pim.batches");
+    trace->count("pim.bus_bytes", r.profile.bus_bytes);
+    for (std::size_t k = 0; k < kStepKindCount; ++k)
+      trace->count(std::string("pim.steps.") +
+                       to_string(static_cast<StepKind>(k)),
+                   r.profile.steps[k]);
+  }
+  return r;
 }
 
 }  // namespace pinatubo::core

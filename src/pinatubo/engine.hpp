@@ -28,6 +28,9 @@
 #include "pinatubo/cost_model.hpp"
 #include "pinatubo/plan.hpp"
 
+namespace pinatubo::obs { class TraceSession; }
+namespace pinatubo::verify { class Verifier; }
+
 namespace pinatubo::core {
 
 struct EngineOptions {
@@ -95,5 +98,14 @@ class ExecutionEngine {
   const PinatuboCostModel* model_;
   EngineOptions opts_;
 };
+
+/// The batch pipeline of both front doors (PimRuntime, PinatuboBackend):
+/// runs `plans` on `engine`; a finding of `gate` (if any) throws `Error`;
+/// an enabled `trace` gets the schedule rendered from `t0_ns` on plus the
+/// counters `pim.batches`, `pim.bus_bytes` and `pim.steps.<class>`.
+ExecutionEngine::Result run_batch(const ExecutionEngine& engine,
+                                  const std::vector<OpPlan>& plans,
+                                  const verify::Verifier* gate,
+                                  obs::TraceSession* trace, double t0_ns);
 
 }  // namespace pinatubo::core

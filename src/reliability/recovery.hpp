@@ -15,8 +15,8 @@
 //
 // The manager also owns the run's reliability `Counters` (detections,
 // retries, de-escalations, remaps, fallbacks) — the driver tallies its
-// sense-path ladder into the same block so observability mirrors one
-// source of truth.
+// sense-path ladder into the same block, and `PimRuntime::Stats` reads
+// them from here.
 #pragma once
 
 #include <cstdint>
@@ -32,11 +32,11 @@
 namespace pinatubo::reliability {
 
 struct Counters {
-  std::uint64_t detected_faults = 0;
-  std::uint64_t retries = 0;
-  std::uint64_t deescalations = 0;
-  std::uint64_t remaps = 0;
-  std::uint64_t fallbacks = 0;
+  std::uint64_t detected_faults = 0;  ///< verify mismatches (sense + write)
+  std::uint64_t retries = 0;          ///< extra sense attempts
+  std::uint64_t deescalations = 0;    ///< activation splits (128 -> 2x64..)
+  std::uint64_t remaps = 0;           ///< rank-rows moved to spares
+  std::uint64_t fallbacks = 0;        ///< ops completed on the CPU path
 };
 
 class RecoveryManager {

@@ -38,6 +38,14 @@ std::uint64_t row_key(const mem::RowAddr& a) {
 
 std::string addr_str(const mem::RowAddr& a) { return a.to_string(); }
 
+/// Diagnostic text: `parts` streamed in order.
+template <typename... Parts>
+std::string msg(const Parts&... parts) {
+  std::ostringstream os;
+  (os << ... << parts);
+  return os.str();
+}
+
 /// Bounds-checks one row address against the geometry.
 bool addr_in_range(const mem::Geometry& g, const mem::RowAddr& a) {
   return a.channel < g.channels && a.rank < g.ranks_per_channel &&
@@ -75,12 +83,6 @@ void Verifier::check_step(std::size_t plan, std::size_t step,
   auto add = [&](Rule r, const std::string& msg) {
     rep.add(r, plan, step, msg);
   };
-  auto msg = [](auto&&... parts) {
-    std::ostringstream os;
-    (os << ... << parts);
-    return os.str();
-  };
-
   // ---- shared structural checks -----------------------------------------
   if (s.reads.empty()) add(Rule::kStepEmptyReads, "step opens no rows");
   if (s.bits == 0) add(Rule::kStepShape, "step processes 0 bits");
@@ -337,12 +339,6 @@ void Verifier::hazard_resource_pass(
     const core::ExecutionEngine::Result& result, const Priced& priced,
     Report& rep) const {
   using Sched = core::ExecutionEngine::ScheduledStep;
-  auto msg = [](auto&&... parts) {
-    std::ostringstream os;
-    (os << ... << parts);
-    return os.str();
-  };
-
   // ---- H01: the schedule covers each step exactly once -------------------
   const std::vector<std::size_t>& offset = priced.offset;
   const std::size_t total = offset.back();
@@ -486,11 +482,6 @@ void Verifier::reconcile_pass(const std::vector<OpPlan>& plans,
                               bool serial, const Priced& priced,
                               Report& rep) const {
   if (rep.tripped(Rule::kScheduleShape)) return;  // sums are meaningless
-  auto msg = [](auto&&... parts) {
-    std::ostringstream os;
-    (os << ... << parts);
-    return os.str();
-  };
   const auto none = Diagnostic::kNoIndex;
 
   double time_by_class[core::kStepKindCount] = {};
@@ -545,15 +536,9 @@ void Verifier::reconcile_pass(const std::vector<OpPlan>& plans,
 }
 
 Report reconcile_trace(const obs::TraceSession& trace,
-                       const Accounting& expect) {
+                       const core::ClassProfile& expect, double makespan_ns) {
   Report rep;
   const auto none = Diagnostic::kNoIndex;
-  auto msg = [](auto&&... parts) {
-    std::ostringstream os;
-    (os << ... << parts);
-    return os.str();
-  };
-
   double time_by_class[core::kStepKindCount] = {};
   std::uint64_t count_by_class[core::kStepKindCount] = {};
   for (const obs::Span& span : trace.spans())
@@ -567,21 +552,20 @@ Report reconcile_trace(const obs::TraceSession& trace,
 
   for (std::size_t k = 0; k < core::kStepKindCount; ++k) {
     const auto kind = static_cast<StepKind>(k);
-    if (!near(time_by_class[k], expect.class_time_ns[k]))
+    if (!near(time_by_class[k], expect.time_ns[k]))
       rep.add(Rule::kClassTimeMismatch, none, none,
               msg(to_string(kind), ": spans sum to ", time_by_class[k],
-                  " ns, accounting claims ", expect.class_time_ns[k],
-                  " ns"));
-    if (count_by_class[k] != expect.class_steps[k])
+                  " ns, accounting claims ", expect.time_ns[k], " ns"));
+    if (count_by_class[k] != expect.steps[k])
       rep.add(Rule::kClassCountMismatch, none, none,
               msg(to_string(kind), ": ", count_by_class[k],
-                  " spans, accounting claims ", expect.class_steps[k]));
+                  " spans, accounting claims ", expect.steps[k]));
   }
-  if (!near(trace.max_end_ns(), expect.makespan_ns))
+  if (!near(trace.max_end_ns(), makespan_ns))
     rep.add(Rule::kMakespanMismatch, none, none,
             msg("last span ends at ", trace.max_end_ns(),
-                " ns, accounting claims the makespan is ",
-                expect.makespan_ns, " ns"));
+                " ns, accounting claims the makespan is ", makespan_ns,
+                " ns"));
   return rep;
 }
 

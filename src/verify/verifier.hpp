@@ -43,14 +43,6 @@
 
 namespace pinatubo::verify {
 
-/// Expected accounting totals for trace reconciliation — the runtime-side
-/// numbers (Stats / ClassProfile) a rendered trace must agree with.
-struct Accounting {
-  double class_time_ns[core::kStepKindCount] = {};
-  std::uint64_t class_steps[core::kStepKindCount] = {};
-  double makespan_ns = 0.0;
-};
-
 class Verifier {
  public:
   /// `max_rows_cap` is the configured activation cap (Pinatubo-2 vs -128);
@@ -117,12 +109,12 @@ class Verifier {
   circuit::CsaModel csa_;
 };
 
-/// Reconciles a live trace session against the runtime's accounting: per
-/// step class, summed span durations and span counts must equal the
-/// expected totals (R01/R02), and the latest span end must equal the
-/// accrued makespan (R04).  This is test_obs_reconcile's contract as a
+/// Reconciles a live trace session against the accounting it was rendered
+/// from: per step class, summed span durations and span counts must equal
+/// the profile's (R01/R02), and the latest span end must equal the accrued
+/// `makespan_ns` (R04).  This is test_obs_reconcile's contract as a
 /// reusable library call.
 Report reconcile_trace(const obs::TraceSession& trace,
-                       const Accounting& expect);
+                       const core::ClassProfile& expect, double makespan_ns);
 
 }  // namespace pinatubo::verify

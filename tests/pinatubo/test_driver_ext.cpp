@@ -227,6 +227,60 @@ TEST_F(DriverExtTest, StatsBreakdownCoversCost) {
   EXPECT_EQ(st.by_class[step_index(StepKind::kHostRead)].steps, 1u);
 }
 
+TEST_F(DriverExtTest, StatsCountEveryPlanByTheSyncPointsThatPriceIt) {
+  // Stats step counts come from the priced batches, so after every
+  // synchronous op and every pim_barrier() they equal the step counts of
+  // all plans submitted so far (re-planned here with the runtime's own
+  // placements), and the per-class breakdown is the engine's profile.
+  const std::uint64_t bits = 2 * rt_.geometry().row_group_bits();
+  std::vector<PimRuntime::Handle> h;
+  for (int i = 0; i < 6; ++i) {
+    h.push_back(rt_.pim_malloc(bits));
+    rt_.pim_write(h.back(), BitVector::random(bits, 0.5, rng_));
+  }
+  const OpScheduler sched(rt_.geometry(), SchedulerConfig{});
+  std::uint64_t want[kStepKindCount] = {}, ops = 0, batches = 0;
+  auto issue = [&](BitOp op, std::vector<PimRuntime::Handle> srcs,
+                   PimRuntime::Handle dst, bool host_reads) {
+    std::vector<Placement> sp;
+    for (const auto s : srcs) sp.push_back(rt_.placement(s));
+    const OpPlan plan = sched.plan(op, sp, rt_.placement(dst), host_reads);
+    for (std::size_t k = 0; k < kStepKindCount; ++k)
+      want[k] += plan.count(static_cast<StepKind>(k));
+    rt_.pim_op(op, srcs, dst, host_reads);
+    ++ops;
+  };
+  auto expect_counts = [&](const char* where) {
+    SCOPED_TRACE(where);
+    const auto st = rt_.stats();
+    EXPECT_EQ(st.ops, ops);
+    EXPECT_EQ(st.batches, batches);
+    EXPECT_EQ(st.intra_steps, want[step_index(StepKind::kIntraSub)]);
+    EXPECT_EQ(st.inter_sub_steps, want[step_index(StepKind::kInterSub)]);
+    EXPECT_EQ(st.inter_bank_steps, want[step_index(StepKind::kInterBank)]);
+    EXPECT_EQ(st.host_reads, want[step_index(StepKind::kHostRead)]);
+    EXPECT_EQ(st.bus_bytes, rt_.profile().bus_bytes);
+    for (std::size_t k = 0; k < kStepKindCount; ++k) {
+      EXPECT_EQ(st.by_class[k].steps, want[k]);
+      EXPECT_EQ(st.by_class[k].time_ns, rt_.profile().time_ns[k]);
+      EXPECT_EQ(st.by_class[k].energy_pj, rt_.profile().energy_pj[k]);
+    }
+  };
+  issue(BitOp::kOr, {h[0], h[1], h[2]}, h[3], false);
+  ++batches;
+  expect_counts("after a synchronous op");
+  rt_.pim_begin();
+  issue(BitOp::kAnd, {h[0], h[4]}, h[5], true);
+  issue(BitOp::kXor, {h[1], h[2]}, h[1], false);
+  issue(BitOp::kInv, {h[3]}, h[4], true);
+  rt_.pim_barrier();
+  ++batches;
+  expect_counts("after pim_barrier");
+  issue(BitOp::kOr, {h[5], h[4]}, h[0], true);
+  ++batches;
+  expect_counts("after a second synchronous op");
+}
+
 TEST_F(DriverExtTest, BatchedCommandStreamReplays) {
   // Record an overlapped batch's interleaved command stream, replay it on
   // a twin memory image, and expect bit-identical vectors.

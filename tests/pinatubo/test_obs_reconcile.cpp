@@ -1,9 +1,9 @@
 // Observability reconciliation: the trace a run emits must agree exactly
 // with the runtime's own accounting.  Per step class, summed span
-// durations equal Stats::by_class[k].time_ns (= ClassProfile::time_ns);
-// the max span end equals the accrued makespan cost().time_ns; counters
-// mirror Stats.  These cross-checks are what catch timing-model bugs that
-// aggregate numbers hide.
+// durations equal the runtime's ClassProfile::time_ns; the max span end
+// equals the accrued makespan cost().time_ns; counters match Stats.
+// These cross-checks are what catch timing-model bugs that aggregate
+// numbers hide.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -12,24 +12,11 @@
 #include "obs/schedule_trace.hpp"
 #include "obs/trace.hpp"
 #include "pinatubo/driver.hpp"
+#include "verify/trace_lint.hpp"
 #include "verify/verifier.hpp"
-#include "../obs/json_check.hpp"
 
 namespace pinatubo::core {
 namespace {
-
-using pinatubo::testing::JsonChecker;
-
-/// The runtime's accounting in the shape verify::reconcile_trace expects.
-verify::Accounting accounting_of(const PimRuntime& pim) {
-  verify::Accounting acct;
-  for (std::size_t k = 0; k < kStepKindCount; ++k) {
-    acct.class_time_ns[k] = pim.stats().by_class[k].time_ns;
-    acct.class_steps[k] = pim.stats().by_class[k].steps;
-  }
-  acct.makespan_ns = pim.cost().time_ns;
-  return acct;
-}
 
 /// The machine_explorer demo batch: 4 independent ORs then two dependent
 /// ops that stream their result to the host — every step class except
@@ -64,9 +51,10 @@ TEST_P(ObsReconcileTest, SpansReconcileWithStats) {
   ASSERT_FALSE(trace.spans().empty());
   // Per-class span sums/counts and the max span end against the runtime's
   // accounting — the R01/R02/R04 library pass.
-  const verify::Report rep = verify::reconcile_trace(trace, accounting_of(pim));
+  const verify::Report rep =
+      verify::reconcile_trace(trace, pim.profile(), pim.cost().time_ns);
   EXPECT_TRUE(rep.ok()) << rep.to_string();
-  // Counters mirror Stats.
+  // Counters match Stats.
   const auto& m = trace.metrics();
   EXPECT_EQ(m.get("pim.ops"), st.ops);
   EXPECT_EQ(m.get("pim.batches"), st.batches);
@@ -148,7 +136,8 @@ TEST(ObsReconcile, EmittedChromeJsonIsValid) {
   pim.set_trace(&trace);
   run_demo_batch(pim);
   const std::string json = trace.to_chrome_json();
-  EXPECT_TRUE(JsonChecker::valid(json));
+  const verify::Report rep = verify::lint_trace_text(json);
+  EXPECT_TRUE(rep.ok()) << rep.to_string();
   EXPECT_NE(json.find("\"traceEvents\""), std::string::npos);
   EXPECT_NE(json.find("\"cat\":\"intra-sub\""), std::string::npos);
   EXPECT_NE(json.find("/bus"), std::string::npos);

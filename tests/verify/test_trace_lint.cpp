@@ -68,7 +68,10 @@ TEST(TraceLint, RealRuntimeTraceLintsClean) {
 TEST(TraceLint, MalformedJsonTripsT01) {
   for (const char* bad :
        {"", "not json at all", "{\"traceEvents\":", "[1,2,3]",
-        "{\"traceEvents\":[]}", "{\"otherData\":{}}"}) {
+        "{\"traceEvents\":[]}", "{\"otherData\":{}}", "{",
+        "{\"traceEvents\":}", "{\"traceEvents\":[],}",
+        "{\"traceEvents\":[1 2]}", "{\"traceEvents\":\"unterminated",
+        "{} trailing"}) {
     const Report rep = lint_trace_text(bad);
     EXPECT_TRUE(rep.tripped(Rule::kTraceParse)) << "input: " << bad;
   }

@@ -23,10 +23,7 @@
 #include "apps/vector_workload.hpp"
 #include "apps/workloads.hpp"
 #include "common/error.hpp"
-#include "pinatubo/allocator.hpp"
-#include "pinatubo/cost_model.hpp"
-#include "pinatubo/engine.hpp"
-#include "pinatubo/scheduler.hpp"
+#include "pinatubo/backend.hpp"
 #include "sim/trace_io.hpp"
 #include "verify/rules.hpp"
 #include "verify/trace_lint.hpp"
@@ -43,30 +40,17 @@ struct LintOptions {
   double scale = 0.05;
 };
 
-/// Lints one op trace end to end: plans from the scheduler, a schedule
-/// from the engine, all three verifier passes.  Mirrors how
-/// PinatuboBackend prices traces, so what CI lints is what benches run.
+/// Lints one op trace end to end: the backend's plans, a schedule from
+/// the engine, all three verifier passes — what benches price.
 verify::Report lint_op_trace(const sim::OpTrace& trace,
                              const LintOptions& opt) {
   const mem::Geometry geo;
-  core::RowAllocator alloc(geo, core::AllocPolicy::kPimAware);
-  core::OpScheduler sched(geo, core::SchedulerConfig{opt.max_rows, opt.tech});
+  const core::PinatuboBackend backend(geo, {opt.tech, opt.max_rows});
+  const std::vector<core::OpPlan> plans = backend.plan(trace);
   const core::PinatuboCostModel model(geo, opt.tech, trace.result_density);
-
-  std::vector<core::OpPlan> plans;
-  plans.reserve(trace.ops.size());
-  for (const auto& op : trace.ops) {
-    std::vector<core::Placement> srcs;
-    srcs.reserve(op.srcs.size());
-    for (const auto id : op.srcs)
-      srcs.push_back(alloc.virtual_placement(id, op.bits));
-    const core::Placement dst = alloc.virtual_placement(op.dst, op.bits);
-    plans.push_back(sched.plan(op.op, srcs, dst, op.host_reads_result));
-  }
   const core::ExecutionEngine engine(model, core::EngineOptions{opt.serial});
-  const core::ExecutionEngine::Result result = engine.run(plans);
   const verify::Verifier verifier(model, opt.max_rows);
-  return verifier.check(plans, result, opt.serial);
+  return verifier.check(plans, engine.run(plans), opt.serial);
 }
 
 /// Prints a lint outcome; returns 1 on diagnostics, 0 when clean.
