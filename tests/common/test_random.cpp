@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <set>
 #include <vector>
 
@@ -195,6 +196,38 @@ TEST(ZipfSampler, ThetaZeroIsUniform) {
 
 TEST(ZipfSampler, RejectsEmptyDomain) {
   EXPECT_THROW(ZipfSampler(0, 1.0), Error);
+}
+
+TEST(ZipfSampler, MatchesLowerBoundOracle) {
+  // Inverse-CDF sampling by binary search over the same normalized CDF:
+  // the sampler must return exactly this index for the same uniform draw,
+  // so every generated workload stays bit-identical to the search-based
+  // definition.
+  for (const std::size_t n : {1u, 2u, 3u, 100u, 65536u, 100000u}) {
+    for (const double theta : {0.0, 0.5, 0.8, 1.0, 1.5, 3.0}) {
+      std::vector<double> cdf(n);
+      double sum = 0.0;
+      for (std::size_t i = 0; i < n; ++i) {
+        sum += 1.0 / std::pow(static_cast<double>(i + 1), theta);
+        cdf[i] = sum;
+      }
+      for (auto& v : cdf) v /= sum;
+
+      const ZipfSampler zipf(n, theta);
+      ASSERT_EQ(zipf.size(), n);
+      Rng rng(n * 31 + static_cast<std::uint64_t>(theta * 10));
+      Rng oracle_rng = rng;
+      std::size_t mismatches = 0;
+      for (int i = 0; i < 100000; ++i) {
+        const double u = oracle_rng.uniform();
+        auto it = std::lower_bound(cdf.begin(), cdf.end(), u);
+        if (it == cdf.end()) --it;
+        const auto want = static_cast<std::size_t>(it - cdf.begin());
+        if (zipf.sample(rng) != want) ++mismatches;
+      }
+      EXPECT_EQ(mismatches, 0u) << "n=" << n << " theta=" << theta;
+    }
+  }
 }
 
 }  // namespace
