@@ -31,6 +31,9 @@ void WahBitmap::append_group(std::uint32_t literal) {
 
 WahBitmap WahBitmap::from_words(std::uint64_t bits,
                                 std::vector<std::uint32_t> words) {
+  // Larger counts would wrap the ceil(bits/31) rounding below.
+  PIN_CHECK_MSG(bits <= kMaxBits,
+                "WAH bit count " << bits << " exceeds " << kMaxBits);
   std::uint64_t groups = 0;
   for (const std::uint32_t word : words) {
     if ((word & kFillFlag) != 0) {

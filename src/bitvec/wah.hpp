@@ -32,7 +32,8 @@ class WahBitmap {
   BitVector decompress() const;
 
   /// Builds a bitmap from an already-encoded word stream (I/O, tests).
-  /// Validates that the words cover exactly `ceil(bits/31)` groups; the
+  /// Rejects `bits` above `kMaxBits` and validates that the words cover
+  /// exactly `ceil(bits/31)` groups; the
   /// encoding may be non-canonical (e.g. adjacent fills of one value, or
   /// literal all-zero words) — every reader handles that.
   static WahBitmap from_words(std::uint64_t bits,
@@ -65,6 +66,9 @@ class WahBitmap {
   /// Longest run one fill word encodes (in 31-bit groups); longer runs
   /// split into consecutive fill words.
   static constexpr std::uint32_t kMaxRun = 0x3fffffffu;
+  /// Largest logical size `from_words` accepts: `bits + kGroupBits - 1`
+  /// must not wrap.
+  static constexpr std::uint64_t kMaxBits = ~0ull - (kGroupBits - 1);
 
   /// Streaming decoder over 31-bit groups.  `done()` turns true exactly
   /// when every encoded group has been consumed.
