@@ -1,6 +1,6 @@
 #include "common/random.hpp"
 
-#include <algorithm>
+#include <bit>
 #include <cmath>
 #include <numbers>
 
@@ -160,13 +160,26 @@ ZipfSampler::ZipfSampler(std::size_t n, double theta) {
     cdf_[i] = sum;
   }
   for (auto& v : cdf_) v /= sum;
+  // guide_[k] = first index whose CDF reaches k/m.  m is a power of two, so
+  // k/m here and u*m in sample() are exact.
+  const std::size_t m = std::bit_ceil(n);
+  guide_.resize(m);
+  std::size_t i = 0;
+  for (std::size_t k = 0; k < m; ++k) {
+    const double t = static_cast<double>(k) / static_cast<double>(m);
+    while (i + 1 < n && cdf_[i] < t) ++i;
+    guide_[k] = i;
+  }
 }
 
 std::size_t ZipfSampler::sample(Rng& rng) const {
   const double u = rng.uniform();
-  auto it = std::lower_bound(cdf_.begin(), cdf_.end(), u);
-  if (it == cdf_.end()) --it;
-  return static_cast<std::size_t>(it - cdf_.begin());
+  // u >= k/m, so the first index with CDF >= u is at or after guide_[k].
+  const auto k = static_cast<std::size_t>(
+      u * static_cast<double>(guide_.size()));
+  std::size_t i = guide_[k];
+  while (i + 1 < cdf_.size() && cdf_[i] < u) ++i;
+  return i;
 }
 
 }  // namespace pinatubo

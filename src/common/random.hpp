@@ -124,8 +124,12 @@ class CounterRng {
   std::uint64_t counter_ = 0;
 };
 
-/// Zipf-distributed integers in [0, n) with exponent `theta`; O(1) sampling
-/// after O(n) table build.  Used by the bitmap-index workload generator.
+/// Zipf-distributed integers in [0, n) with exponent `theta`, by inverse
+/// CDF: one uniform u per draw returns the first index whose CDF is >= u
+/// (the last index if none).  A Chen–Asau guide table over m = bit_ceil(n)
+/// equal slices of [0, 1) starts that search at the first index whose CDF
+/// reaches floor(u*m)/m, so a draw scans O(1) CDF entries in expectation
+/// after an O(n) build.  Used by the graph and bitmap-index generators.
 class ZipfSampler {
  public:
   ZipfSampler(std::size_t n, double theta);
@@ -134,6 +138,7 @@ class ZipfSampler {
 
  private:
   std::vector<double> cdf_;
+  std::vector<std::size_t> guide_;
 };
 
 }  // namespace pinatubo
