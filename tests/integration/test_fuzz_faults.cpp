@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "common/parallel.hpp"
@@ -24,6 +25,9 @@ struct TrialOutcome {
   std::uint64_t wrong = 0;
   std::uint64_t detected = 0, retries = 0, deescalations = 0, remaps = 0,
                 fallbacks = 0;
+  /// Protocol diagnostics over the recorded command stream (ladder
+  /// retries, verify folds and remaps included).
+  std::string protocol;
 };
 
 /// Draws a random (but trial-seeded) fault policy.  Detection stays exact
@@ -58,6 +62,7 @@ TrialOutcome run_trial(std::uint64_t trial, unsigned threads, bool batched) {
   opts.tech = techs[cfg_rng.next() % 3];
   opts.max_rows = (cfg_rng.next() % 2) ? 128 : 2;
   opts.reliability = random_policy(cfg_rng);
+  opts.record_commands = true;
   PimRuntime pim({}, opts);
 
   const std::uint64_t bits = pim.geometry().sense_step_bits();
@@ -104,6 +109,9 @@ TrialOutcome run_trial(std::uint64_t trial, unsigned threads, bool batched) {
   out.deescalations = st.deescalations;
   out.remaps = st.remaps;
   out.fallbacks = st.fallbacks;
+  const core::PinatuboCostModel model(pim.geometry(), opts.tech);
+  out.protocol =
+      verify::Verifier(model).check_commands(pim.commands()).to_string();
   ThreadPool::set_global_threads(0);
   return out;
 }
@@ -114,6 +122,7 @@ TEST_P(FaultFuzz, RecoveredResultsMatchGoldenAtAnyThreadCount) {
   const std::uint64_t trial = GetParam();
   const auto base = run_trial(trial, 1, /*batched=*/false);
   EXPECT_EQ(base.wrong, 0u) << "trial " << trial;
+  EXPECT_EQ(base.protocol, "") << "trial " << trial;
 
   const auto threaded = run_trial(trial, 5, /*batched=*/false);
   EXPECT_EQ(threaded.finals, base.finals);
@@ -123,12 +132,14 @@ TEST_P(FaultFuzz, RecoveredResultsMatchGoldenAtAnyThreadCount) {
   EXPECT_EQ(threaded.deescalations, base.deescalations);
   EXPECT_EQ(threaded.remaps, base.remaps);
   EXPECT_EQ(threaded.fallbacks, base.fallbacks);
+  EXPECT_EQ(threaded.protocol, "");
 
   const auto batched = run_trial(trial, 3, /*batched=*/true);
   EXPECT_EQ(batched.finals, base.finals);
   EXPECT_EQ(batched.wrong, 0u);
   EXPECT_EQ(batched.detected, base.detected);
   EXPECT_EQ(batched.fallbacks, base.fallbacks);
+  EXPECT_EQ(batched.protocol, "");
 }
 
 INSTANTIATE_TEST_SUITE_P(Trials, FaultFuzz,

@@ -47,6 +47,7 @@ TEST_P(RuntimeFuzz, MatchesHostOracle) {
   opts.tech = tech;
   opts.policy = policy;
   opts.fidelity = fidelity;
+  opts.record_commands = true;
   core::PimRuntime pim(mem::Geometry{}, opts);
   Rng rng(seed);
 
@@ -122,6 +123,11 @@ TEST_P(RuntimeFuzz, MatchesHostOracle) {
     ASSERT_EQ(pim.pim_read(handles[i]), oracle[i]) << "vector " << i;
   EXPECT_GT(pim.cost().time_ns, 0.0);
   EXPECT_GT(pim.stats().batches, 0u);
+  // Every lowered step sequence the run recorded obeys the DDR-PIM protocol.
+  const core::PinatuboCostModel model(pim.geometry(), tech);
+  const verify::Report rep =
+      verify::Verifier(model).check_commands(pim.commands());
+  EXPECT_TRUE(rep.ok()) << rep.to_string();
 }
 
 INSTANTIATE_TEST_SUITE_P(
