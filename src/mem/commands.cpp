@@ -1,35 +1,17 @@
 #include "mem/commands.hpp"
 
+#include <iterator>
 #include <sstream>
 
 namespace pinatubo::mem {
 
 const char* to_string(CmdKind k) {
-  switch (k) {
-    case CmdKind::kAct:
-      return "ACT";
-    case CmdKind::kRead:
-      return "RD";
-    case CmdKind::kWrite:
-      return "WR";
-    case CmdKind::kPrecharge:
-      return "PRE";
-    case CmdKind::kModeSet:
-      return "MRS4";
-    case CmdKind::kPimReset:
-      return "PIM_RESET";
-    case CmdKind::kPimLoad:
-      return "PIM_LOAD";
-    case CmdKind::kPimSense:
-      return "PIM_SENSE";
-    case CmdKind::kPimWriteback:
-      return "PIM_WB";
-    case CmdKind::kPimGdlOp:
-      return "PIM_GDL";
-    case CmdKind::kPimIoOp:
-      return "PIM_IO";
-  }
-  return "?";
+  static constexpr const char* kNames[] = {
+      "ACT",       "RD",        "WR",     "PRE",     "MRS4",   "PIM_RESET",
+      "PIM_LOAD",  "PIM_SENSE", "PIM_WB", "PIM_GDL", "PIM_IO",
+  };
+  const auto i = static_cast<std::size_t>(k);
+  return i < std::size(kNames) ? kNames[i] : "?";
 }
 
 std::string Command::to_string() const {

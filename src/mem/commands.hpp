@@ -21,7 +21,7 @@ enum class CmdKind : std::uint8_t {
   kPrecharge,
   kModeSet,       ///< MR4 write: selects PIM op / reference (paper Fig. 4)
   kPimReset,      ///< release latched wordlines before multi-row activation
-  kPimLoad,       ///< latch a row into a global/IO buffer slot (aux = slot)
+  kPimLoad,       ///< latch a row into a buffer slot (aux: mem/protocol.hpp)
   kPimSense,      ///< one PIM sensing step (one column group)
   kPimWriteback,  ///< SA result fed to local write drivers (in-place WD path)
   kPimGdlOp,      ///< inter-subarray op step at the global row buffer
@@ -34,7 +34,7 @@ struct Command {
   CmdKind kind = CmdKind::kAct;
   RowAddr addr;           ///< target row (bank-level commands use bank part)
   BitOp op = BitOp::kOr;  ///< for kModeSet
-  std::uint32_t aux = 0;  ///< column step index / operand count
+  std::uint32_t aux = 0;  ///< per-kind operand; see mem/protocol.hpp
 
   std::string to_string() const;
 };

@@ -26,38 +26,17 @@ double PinatuboCostModel::stream_ns(unsigned cols) const {
   return static_cast<double>(cols) * beats * path_.gdl_clk_ns;
 }
 
-std::uint64_t PinatuboCostModel::command_count(const PlanStep& s) const {
-  // PIM commands broadcast to all banks of the rank (the lock-step bank
-  // cluster shares row coordinates), so the command count is independent
-  // of the bank count — without this the command bus would cap multi-row
-  // ops far below the paper's Fig. 9 ceiling.
-  switch (s.kind) {
-    case StepKind::kIntraSub:
-      // MRS, RESET, one ACT per opened row, one strobe per sense step, WB.
-      return 1 + 1 + s.rows + s.col_steps + (s.writeback ? 1 : 0);
-    case StepKind::kInterSub:
-    case StepKind::kInterBank:
-      // MRS, one read per operand row, logic strobe, writeback.
-      return 1 + s.rows + 1 + (s.writeback ? 1 : 0);
-    case StepKind::kHostRead:
-      // Column read bursts: one per stripe per bank (real data moves).
-      return static_cast<std::uint64_t>(geo_.banks_per_chip) * s.col_steps;
-  }
-  PIN_UNREACHABLE("bad StepKind");
-}
-
 mem::Cost PinatuboCostModel::step_cost(const PlanStep& s) const {
   PIN_CHECK(s.bits > 0);
   PIN_CHECK(s.col_steps >= 1);
   mem::Cost cost;
-  const double t_cmds =
-      static_cast<double>(command_count(s)) * bus_.cmd_slot_ns;
+  const auto cmds = static_cast<double>(command_count(s));
+  const double t_cmds = cmds * bus_.cmd_slot_ns;
   const std::uint64_t hw_bits = sensed_bits(s);
   const double width = static_cast<double>(hw_bits);
   const double ones = width * result_density_;
   const double zeros = width - ones;
-  cost.energy.add("ctrl.cmd",
-                  static_cast<double>(command_count(s)) * energy_.command_pj());
+  cost.energy.add("ctrl.cmd", cmds * energy_.command_pj());
 
   switch (s.kind) {
     case StepKind::kIntraSub: {
@@ -128,67 +107,9 @@ std::uint64_t PinatuboCostModel::step_bus_bytes(const PlanStep& s) const {
 }
 
 std::vector<mem::Command> PinatuboCostModel::lower(const OpPlan& plan) const {
-  // Command encoding (bank 0 stands for the broadcast lock-step cluster):
-  //   ACT        addr = operand row,   aux = activation index
-  //   PIM_SENSE  addr = dst row,       aux = ABSOLUTE column stripe
-  //   PIM_LOAD   addr = operand row,   aux = slot | (operand col << 8)
-  //   RD         addr = result row,    aux = column stripe (host bursts)
-  //   PIM_GDL/IO addr = dst row,       aux = col_start | (col_steps << 8)
-  //   PIM_WB     addr = dst row,       aux = col_start | (col_steps << 8)
   std::vector<mem::Command> cmds;
   for (const auto& s : plan.steps) lower_step(s, cmds);
   return cmds;
-}
-
-void PinatuboCostModel::lower_step(const PlanStep& s,
-                                   std::vector<mem::Command>& out) const {
-  mem::RowAddr base;
-  base.channel = s.channel;
-  base.rank = s.rank;
-  base.subarray = s.subarray;
-  base.row = s.row % geo_.rows_per_subarray;
-  const std::uint32_t window =
-      s.col_start | (static_cast<std::uint32_t>(s.col_steps) << 8);
-  switch (s.kind) {
-    case StepKind::kIntraSub: {
-      out.push_back({mem::CmdKind::kModeSet, base, s.op, 0});
-      out.push_back({mem::CmdKind::kPimReset, base, s.op, 0});
-      for (std::uint32_t r = 0; r < s.reads.size(); ++r)
-        out.push_back({mem::CmdKind::kAct, s.reads[r], s.op, r});
-      for (unsigned c = 0; c < s.col_steps; ++c)
-        out.push_back({mem::CmdKind::kPimSense, base, s.op,
-                       s.col_start + c});
-      if (s.writeback)
-        out.push_back({mem::CmdKind::kPimWriteback, s.write, s.op, window});
-      break;
-    }
-    case StepKind::kInterSub:
-    case StepKind::kInterBank: {
-      const auto kind = s.kind == StepKind::kInterSub
-                            ? mem::CmdKind::kPimGdlOp
-                            : mem::CmdKind::kPimIoOp;
-      out.push_back({mem::CmdKind::kModeSet, base, s.op, 0});
-      for (std::uint32_t r = 0; r < s.reads.size(); ++r) {
-        const std::uint32_t col =
-            r < s.read_cols.size() ? s.read_cols[r] : s.col_start;
-        out.push_back({mem::CmdKind::kPimLoad, s.reads[r], s.op,
-                       r | (col << 8)});
-      }
-      out.push_back({kind, base, s.op, window});
-      if (s.writeback)
-        out.push_back({mem::CmdKind::kPimWriteback, s.write, s.op, window});
-      break;
-    }
-    case StepKind::kHostRead: {
-      for (unsigned b = 0; b < geo_.banks_per_chip; ++b)
-        for (unsigned c = 0; c < s.col_steps; ++c) {
-          mem::RowAddr a = s.reads.empty() ? base : s.reads[0];
-          a.bank = b;
-          out.push_back({mem::CmdKind::kRead, a, s.op, s.col_start + c});
-        }
-      break;
-    }
-  }
 }
 
 }  // namespace pinatubo::core

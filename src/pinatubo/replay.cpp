@@ -1,24 +1,20 @@
 #include "pinatubo/replay.hpp"
 
-#include <algorithm>
+#include <utility>
 
 #include "common/error.hpp"
 
 namespace pinatubo::core {
 
-CommandReplayer::CommandReplayer(mem::MainMemory& memory) : mem_(memory) {}
-
-CommandReplayer::RankState& CommandReplayer::state_of(const mem::RowAddr& a) {
-  return ranks_[{a.channel, a.rank}];
-}
+CommandReplayer::CommandReplayer(mem::MainMemory& memory)
+    : mem_(memory), protocol_(memory.geometry()),
+      lwl_(memory.geometry().rows_per_subarray) {}
 
 void CommandReplayer::write_stripes(const mem::RowAddr& dst,
                                     const std::vector<BitVector>& rows,
                                     const std::vector<unsigned>& stripes) {
   const auto& g = mem_.geometry();
   const std::size_t bank_share = g.sense_step_bits() / g.banks_per_chip;
-  PIN_CHECK_MSG(rows.size() == g.banks_per_chip,
-                "writeback needs one latched row per bank");
   for (unsigned b = 0; b < g.banks_per_chip; ++b) {
     mem::RowAddr a = dst;
     a.bank = b;
@@ -33,90 +29,63 @@ void CommandReplayer::write_stripes(const mem::RowAddr& dst,
 }
 
 void CommandReplayer::execute(const mem::Command& cmd) {
+  mem::PimState next = state_;
+  const mem::Violation v = protocol_.advance(next, cmd);
+  if (v != mem::Violation::kNone)
+    throw Error(cmd.to_string() + ": " + protocol_.explain(v));
+  const mem::Phase was = std::exchange(state_, next).phase;
   ++stats_.commands;
   const auto& g = mem_.geometry();
-  auto& rank = state_of(cmd.addr);
 
   switch (cmd.kind) {
-    case mem::CmdKind::kModeSet: {
-      rank.mode = cmd.op;
-      rank.sa_latch.clear();
-      rank.sensed_stripes.clear();
-      rank.buffer.clear();
-      rank.buffer_result.clear();
+    case mem::CmdKind::kPimReset:
+      lwl_.reset();
+      open_rows_.clear();
+      result_stripes_.clear();
       return;
-    }
-    case mem::CmdKind::kPimReset: {
-      const SubarrayKey key{cmd.addr.channel, cmd.addr.rank,
-                            cmd.addr.subarray};
-      auto it = lwl_.find(key);
-      if (it == lwl_.end())
-        it = lwl_.emplace(key,
-                          circuit::LwlDriverArray(g.rows_per_subarray)).first;
-      it->second.reset();
-      rank.open_subarray = key;
-      rank.open_rows.clear();
-      return;
-    }
-    case mem::CmdKind::kAct: {
+    case mem::CmdKind::kAct:
       ++stats_.activations;
-      const SubarrayKey key{cmd.addr.channel, cmd.addr.rank,
-                            cmd.addr.subarray};
-      PIN_CHECK_MSG(rank.open_subarray && !(key < *rank.open_subarray) &&
-                        !(*rank.open_subarray < key),
-                    "multi-row ACT without PIM_RESET on that subarray");
-      auto& drivers = lwl_.at(key);
-      if (!drivers.is_active(cmd.addr.row)) {
-        drivers.decode(cmd.addr.row);
-        mem::RowAddr a = cmd.addr;
-        a.bank = 0;
-        rank.open_rows.push_back(a);
+      if (!lwl_.is_active(cmd.addr.row)) {
+        lwl_.decode(cmd.addr.row);
+        open_rows_.push_back(cmd.addr);
       }
       return;
-    }
-    case mem::CmdKind::kPimSense: {
+    case mem::CmdKind::kPimSense:
       ++stats_.sense_steps;
-      PIN_CHECK_MSG(!rank.open_rows.empty(), "PIM_SENSE with no open rows");
-      if (rank.sa_latch.empty()) {
+      if (was == mem::Phase::kLatching) {
         // The SAs resolve all banks in lock-step; compute per bank once,
-        // subsequent sense commands add column stripes to the latch set.
-        rank.sa_latch.reserve(g.banks_per_chip);
+        // later sense commands add column stripes to the latch set.
+        sa_latch_.clear();
         for (unsigned b = 0; b < g.banks_per_chip; ++b) {
-          std::vector<mem::RowAddr> rows = rank.open_rows;
+          std::vector<mem::RowAddr> rows = open_rows_;
           for (auto& r : rows) r.bank = b;
-          rank.sa_latch.push_back(mem_.sense_rows(rows, rank.mode));
+          sa_latch_.push_back(mem_.sense_rows(rows, state_.mode));
         }
       }
-      rank.sensed_stripes.push_back(cmd.aux);
+      result_stripes_.push_back(cmd.aux);
       return;
-    }
     case mem::CmdKind::kPimLoad: {
-      // Buffer-path row read into slot aux&0xff (broadcast across banks);
-      // the operand's column window starts at stripe aux>>8.
-      const auto slot = cmd.aux & 0xff;
-      PIN_CHECK_MSG(slot < 4, "buffer slot out of range");
-      if (rank.buffer.size() <= slot) rank.buffer.resize(slot + 1);
-      rank.buffer[slot].rows.clear();
-      rank.buffer[slot].col = cmd.aux >> 8;
+      // Broadcast across banks into the slot the load's ordinal names.
+      BufferSlot& slot = buffer_[state_.loads - 1];
+      slot.col = mem::aux_hi(cmd.aux);
+      slot.rows.clear();
       for (unsigned b = 0; b < g.banks_per_chip; ++b) {
         mem::RowAddr a = cmd.addr;
         a.bank = b;
-        rank.buffer[slot].rows.push_back(mem_.read_row(a));
+        slot.rows.push_back(mem_.read_row(a));
       }
       return;
     }
     case mem::CmdKind::kPimGdlOp:
     case mem::CmdKind::kPimIoOp: {
       ++stats_.buffer_ops;
-      PIN_CHECK_MSG(!rank.buffer.empty() && !rank.buffer[0].rows.empty(),
-                    "buffer op with empty buffer");
       // The datapath's alignment shifter maps each operand's column window
-      // onto the destination's (aux = dst col_start | cols << 8).
-      const unsigned dst_col = cmd.aux & 0xff;
-      const unsigned cols = cmd.aux >> 8;
+      // onto the destination's.
+      const unsigned dst_col = mem::aux_lo(cmd.aux);
+      const unsigned cols = mem::aux_hi(cmd.aux);
       const std::size_t bank_share =
           g.sense_step_bits() / g.banks_per_chip;
-      auto shifted = [&](const RankState::BufferSlot& slot, unsigned bank) {
+      auto shifted = [&](const BufferSlot& slot, unsigned bank) {
         BitVector out(g.rank_row_bits());
         const std::ptrdiff_t delta =
             (static_cast<std::ptrdiff_t>(dst_col) - slot.col) *
@@ -130,52 +99,34 @@ void CommandReplayer::execute(const mem::Command& cmd) {
         }
         return out;
       };
-      rank.buffer_result.clear();
+      // A one-operand fold of a binary op (a verify check) passes its
+      // operand through; the protocol forbids writing that back.
+      buffer_result_.clear();
+      result_stripes_.clear();
+      for (unsigned c = 0; c < cols; ++c)
+        result_stripes_.push_back(dst_col + c);
       for (unsigned b = 0; b < g.banks_per_chip; ++b) {
-        if (rank.mode == BitOp::kInv) {
-          rank.buffer_result.push_back(~shifted(rank.buffer[0], b));
-        } else {
-          PIN_CHECK_MSG(rank.buffer.size() >= 2 &&
-                            !rank.buffer[1].rows.empty(),
-                        "binary buffer op needs two latched rows");
-          rank.buffer_result.push_back(apply(rank.mode,
-                                             shifted(rank.buffer[0], b),
-                                             shifted(rank.buffer[1], b)));
-        }
+        BitVector r = shifted(buffer_[0], b);
+        if (state_.mode == BitOp::kInv)
+          r = ~r;
+        else if (state_.loads >= 2)
+          r = apply(state_.mode, r, shifted(buffer_[1], b));
+        buffer_result_.push_back(std::move(r));
       }
       return;
     }
-    case mem::CmdKind::kPimWriteback: {
+    case mem::CmdKind::kPimWriteback:
       ++stats_.writebacks;
-      if (!rank.buffer_result.empty()) {
-        // Buffer path: window encoded in aux = col_start | (cols << 8).
-        const unsigned col_start = cmd.aux & 0xff;
-        const unsigned cols = cmd.aux >> 8;
-        PIN_CHECK_MSG(cols >= 1, "buffer writeback without a window");
-        std::vector<unsigned> stripes;
-        for (unsigned c = 0; c < cols; ++c) stripes.push_back(col_start + c);
-        write_stripes(cmd.addr, rank.buffer_result, stripes);
-        rank.buffer_result.clear();
-        rank.buffer.clear();
-        return;
-      }
-      PIN_CHECK_MSG(!rank.sa_latch.empty(),
-                    "PIM_WB with neither SA nor buffer results latched");
-      write_stripes(cmd.addr, rank.sa_latch, rank.sensed_stripes);
-      rank.sa_latch.clear();
-      rank.sensed_stripes.clear();
+      write_stripes(cmd.addr,
+                    was == mem::Phase::kSensing ? sa_latch_ : buffer_result_,
+                    result_stripes_);
       return;
-    }
-    case mem::CmdKind::kRead:   // host result burst: no PIM state change
+    case mem::CmdKind::kModeSet:  // MR4 lives in the protocol state
+    case mem::CmdKind::kRead:     // host result burst: no PIM state change
     case mem::CmdKind::kWrite:
     case mem::CmdKind::kPrecharge:
-      return;  // plain DRAM-protocol commands
+      return;
   }
-  PIN_UNREACHABLE("bad CmdKind");
-}
-
-void CommandReplayer::execute_all(const std::vector<mem::Command>& cmds) {
-  for (const auto& c : cmds) execute(c);
 }
 
 }  // namespace pinatubo::core

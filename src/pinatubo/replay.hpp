@@ -5,15 +5,20 @@
 // `CommandReplayer` executes such a stream against a MainMemory image,
 // modelling exactly what the modified chip does per command:
 //
-//   MRS4       latch the op into the mode register, clear PIM state
-//   PIM_RESET  release the addressed subarray's latched wordlines
+//   MRS4       latch the op into the mode register
+//   PIM_RESET  release the latched wordlines
 //   ACT        latch one more wordline (LwlDriverArray semantics)
 //   PIM_SENSE  resolve one column stripe through the modified SA over the
 //              currently open rows
-//   RD (slotN) latch a row into global/IO buffer slot N   (buffer paths)
+//   PIM_LOAD   latch a row into the next global/IO buffer slot
 //   PIM_GDL/IO evaluate the buffer logic over a column window
 //   PIM_WB     feed the SA latches / buffer result to the write drivers
 //              of the addressed row (the in-place-update path)
+//
+// `mem::PimProtocol` decides whether each command is legal; the replayer
+// only moves data.  Every step's sequence is self-contained and recorded
+// contiguously, so one protocol state and one set of latches serve the
+// whole stream.
 //
 // Replaying a recorded stream on a fresh memory image must reproduce the
 // functional runtime's results bit for bit — the integration tests assert
@@ -21,13 +26,13 @@
 // rather than documentation.
 #pragma once
 
-#include <map>
-#include <optional>
+#include <array>
 #include <vector>
 
 #include "circuit/lwl_driver.hpp"
 #include "mem/commands.hpp"
 #include "mem/mainmem.hpp"
+#include "mem/protocol.hpp"
 
 namespace pinatubo::core {
 
@@ -35,10 +40,12 @@ class CommandReplayer {
  public:
   explicit CommandReplayer(mem::MainMemory& memory);
 
-  /// Executes one command; throws on protocol violations (sensing with no
-  /// open rows, writeback with nothing latched, unsupported shapes).
+  /// Executes one command.  A protocol violation throws `Error` with the
+  /// protocol's text and leaves the replayer unchanged.
   void execute(const mem::Command& cmd);
-  void execute_all(const std::vector<mem::Command>& cmds);
+  void execute_all(const std::vector<mem::Command>& cmds) {
+    for (const auto& c : cmds) execute(c);
+  }
 
   struct Stats {
     std::uint64_t commands = 0;
@@ -50,40 +57,25 @@ class CommandReplayer {
   const Stats& stats() const { return stats_; }
 
  private:
-  struct SubarrayKey {
-    unsigned channel, rank, subarray;
-    bool operator<(const SubarrayKey& o) const {
-      return std::tie(channel, rank, subarray) <
-             std::tie(o.channel, o.rank, o.subarray);
-    }
-  };
-  /// Per-rank PIM state: the MR4 mode register, the open-row set, the SA
-  /// result latches (one full rank-row per bank), sensed stripes, and the
-  /// two buffer slots.  Keeping MR4 per rank lets the engine interleave
-  /// the command streams of steps executing on different ranks.
-  struct RankState {
-    BitOp mode = BitOp::kOr;  ///< MR4 contents
-    std::optional<SubarrayKey> open_subarray;
-    std::vector<mem::RowAddr> open_rows;        // bank 0 coordinates
-    std::vector<BitVector> sa_latch;            // per bank, after sensing
-    std::vector<unsigned> sensed_stripes;
-    struct BufferSlot {
-      std::vector<BitVector> rows;  // per bank
-      unsigned col = 0;             // operand's first column stripe
-    };
-    std::vector<BufferSlot> buffer;
-    std::vector<BitVector> buffer_result;       // per bank, after logic
+  struct BufferSlot {
+    std::vector<BitVector> rows;  // per bank
+    unsigned col = 0;             // operand's first column stripe
   };
 
-  RankState& state_of(const mem::RowAddr& a);
   /// Writes the given stripes of `rows` into the addressed row via WDs.
   void write_stripes(const mem::RowAddr& dst,
                      const std::vector<BitVector>& rows,
                      const std::vector<unsigned>& stripes);
 
   mem::MainMemory& mem_;
-  std::map<std::pair<unsigned, unsigned>, RankState> ranks_;
-  std::map<SubarrayKey, circuit::LwlDriverArray> lwl_;
+  mem::PimProtocol protocol_;
+  mem::PimState state_;
+  circuit::LwlDriverArray lwl_;
+  std::vector<mem::RowAddr> open_rows_;       // bank 0 coordinates
+  std::vector<BitVector> sa_latch_;           // per bank, after sensing
+  std::vector<unsigned> result_stripes_;      // stripes the result covers
+  std::array<BufferSlot, mem::PimProtocol::kBufferSlots> buffer_;
+  std::vector<BitVector> buffer_result_;      // per bank, after logic
   Stats stats_;
 };
 

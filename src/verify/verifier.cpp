@@ -56,7 +56,8 @@ bool addr_in_range(const mem::Geometry& g, const mem::RowAddr& a) {
 }  // namespace
 
 Verifier::Verifier(const core::PinatuboCostModel& model, unsigned max_rows_cap)
-    : model_(&model), max_rows_cap_(max_rows_cap) {}
+    : model_(&model), max_rows_cap_(max_rows_cap),
+      protocol_(model.geometry()) {}
 
 Report Verifier::check(const OpPlan& plan) const {
   Report rep;
@@ -219,86 +220,22 @@ void Verifier::check_step(std::size_t plan, std::size_t step,
 void Verifier::command_automaton(const std::vector<mem::Command>& cmds,
                                  std::size_t plan, std::size_t step,
                                  Report& rep) const {
-  // Per-bank-cluster PIM state machine over lowered DDR commands.  Step
-  // sequences are self-contained (each opens with a mode-set), so a single
-  // linear automaton checks a stream of any length:
-  //
-  //   idle --MRS--> armed --PIM_RESET--> latching --ACT+--> (sensing after
-  //   the first PIM_SENSE) --PIM_WRITEBACK--> idle            [intra path]
-  //   armed --PIM_LOAD{1,2}--> loading --GDL/IO op--> oped
-  //   --PIM_WRITEBACK--> idle                                 [buffer path]
-  //
-  // Plain column reads (host bursts) are legal anywhere and do not disturb
-  // the cluster state; activates without a reset, senses without an open
-  // row, bypasses without a sense, and logic ops without loads are illegal.
-  enum class St { kIdle, kArmed, kLatching, kSensing, kLoading, kOped };
-  const mem::Geometry& g = model_->geometry();
-  St st = St::kIdle;
-  unsigned acts = 0, loads = 0;
+  // Step sequences are self-contained (each opens with a mode-set), so one
+  // linear pass of the protocol's transition checks a stream of any length.
+  mem::PimState st;
   for (std::size_t i = 0; i < cmds.size(); ++i) {
-    const mem::Command& c = cmds[i];
+    const mem::Violation v = protocol_.advance(st, cmds[i]);
+    if (v == mem::Violation::kNone) continue;
     // The "command i (KIND): " prefix is formatted only when a rule fires,
     // so a clean stream does no string work.
-    auto add = [&](const Rule r, auto&&... parts) {
-      std::ostringstream os;
-      os << "command " << i << " (" << mem::to_string(c.kind) << "): ";
-      (os << ... << parts);
-      rep.add(r, plan, step, os.str());
-    };
-    switch (c.kind) {
-      case mem::CmdKind::kModeSet:
-        st = St::kArmed;
-        acts = loads = 0;
-        break;
-      case mem::CmdKind::kPimReset:
-        if (st != St::kArmed)
-          add(Rule::kBadCommandOrder,
-              "wordline reset without a preceding mode-set");
-        st = St::kLatching;
-        acts = 0;
-        break;
-      case mem::CmdKind::kAct:
-        if (st != St::kLatching)
-          add(Rule::kBadCommandOrder,
-              "activate outside a reset multi-ACT window");
-        else if (++acts > g.rows_per_subarray)
-          add(Rule::kActivationOverflow, "more ACTs than LWL driver latches (",
-              g.rows_per_subarray, ")");
-        break;
-      case mem::CmdKind::kPimSense:
-        if (!(st == St::kSensing || (st == St::kLatching && acts >= 1)))
-          add(Rule::kBadCommandOrder, "sense with no activated rows");
-        st = St::kSensing;
-        break;
-      case mem::CmdKind::kPimWriteback:
-        if (st != St::kSensing && st != St::kOped)
-          add(Rule::kWriteBypassNoSense,
-              "write-driver bypass without a sense or buffer op result");
-        st = St::kIdle;
-        break;
-      case mem::CmdKind::kPimLoad:
-        if (st != St::kArmed && st != St::kLoading)
-          add(Rule::kBadCommandOrder,
-              "buffer load without a preceding mode-set");
-        else if (++loads > 2)
-          add(Rule::kBadCommandOrder,
-              "more loads than buffer operand slots (2)");
-        st = St::kLoading;
-        break;
-      case mem::CmdKind::kPimGdlOp:
-      case mem::CmdKind::kPimIoOp:
-        if (st != St::kLoading || loads < 1)
-          add(Rule::kBadCommandOrder,
-              "buffer logic op with no loaded operands");
-        st = St::kOped;
-        break;
-      case mem::CmdKind::kRead:
-        break;  // host column bursts are plain DDR, legal anywhere
-      case mem::CmdKind::kWrite:
-      case mem::CmdKind::kPrecharge:
-        add(Rule::kBadCommandOrder, "not part of a lowered PIM sequence");
-        break;
-    }
+    const Rule r = v == mem::Violation::kLatchOverflow
+                       ? Rule::kActivationOverflow
+                   : v == mem::Violation::kWritebackWithoutResult
+                       ? Rule::kWriteBypassNoSense
+                       : Rule::kBadCommandOrder;
+    rep.add(r, plan, step,
+            msg("command ", i, " (", mem::to_string(cmds[i].kind),
+                "): ", protocol_.explain(v)));
   }
 }
 

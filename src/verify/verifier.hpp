@@ -4,14 +4,16 @@
 // streams and `core::ExecutionEngine` schedules — that proves a batch legal
 // before execution and reconciled after it, in three passes:
 //
-//   1. protocol / state-machine pass (plan-level): a per-bank-cluster state
-//      automaton over the lowered DDR commands rejects illegal step orders
-//      (paper §5: multi-row activation needs reset + ACTs before sensing,
-//      the write-driver bypass needs a sense, buffer logic needs its operand
-//      loads), plus structural legality — activation widths vs. the LWL
-//      latch count and the CSA's reliable reference range, geometry-bounded
-//      addresses, bank-cluster locality, column windows inside the SA mux
-//      share, one wordline per operand;
+//   1. protocol / state-machine pass (plan-level): `mem::PimProtocol`, the
+//      one DDR-PIM automaton the command replayer also runs, over each
+//      step's lowered commands rejects illegal orders (paper §5: multi-row
+//      activation needs reset + ACTs on that subarray before sensing, the
+//      write-driver bypass needs a sense, buffer logic needs its operand
+//      loads and a binary writeback both of them), plus structural
+//      legality — activation widths vs. the LWL latch count and the CSA's
+//      reliable reference range, geometry-bounded addresses, bank-cluster
+//      locality, column windows inside the SA mux share, one wordline per
+//      operand;
 //
 //   2. hazard & resource pass (schedule-level): re-derives the RAW/WAW/WAR
 //      graph from the same bank-collapsed row keys the engine uses and
@@ -63,9 +65,10 @@ class Verifier {
                const core::ExecutionEngine::Result& result,
                bool serial = false) const;
 
-  /// The P12 automaton over a raw DDR command stream (e.g. the runtime's
-  /// recorded `commands()`).  Sequences are self-contained per step, each
-  /// opened by a mode-set, so one linear scan checks the whole stream.
+  /// The protocol automaton over a raw DDR command stream (e.g. the
+  /// runtime's recorded `commands()`), reported as P03/P08/P12.  Sequences
+  /// are self-contained per step, each opened by a mode-set, so one linear
+  /// scan checks the whole stream.
   Report check_commands(const std::vector<mem::Command>& cmds) const;
 
   const core::PinatuboCostModel& model() const { return *model_; }
@@ -106,6 +109,7 @@ class Verifier {
 
   const core::PinatuboCostModel* model_;
   unsigned max_rows_cap_;
+  mem::PimProtocol protocol_;
   circuit::CsaModel csa_;
 };
 

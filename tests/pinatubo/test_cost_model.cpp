@@ -144,6 +144,24 @@ TEST_F(CostModelTest, LoweringMatchesCommandCount) {
   EXPECT_EQ(cmds.size(), expect);
 }
 
+TEST_F(CostModelTest, BufferStepsLoadOncePerSensedRow) {
+  // A read-back write check senses dst twice (rows = 2) but reads only
+  // dst: the lowering re-loads it, so the stream is as long as its price.
+  PlanStep s = plan_or(2, 1ull << 14).steps[0];
+  s.kind = StepKind::kInterSub;
+  s.writeback = false;
+  s.reads = {s.write};
+  s.read_cols = {s.col_start};
+  std::vector<mem::Command> cmds;
+  model_.lower_step(s, cmds);
+  ASSERT_EQ(cmds.size(), 4u);  // MRS, PIM_LOAD x2, PIM_GDL
+  EXPECT_EQ(model_.command_count(s), cmds.size());
+  EXPECT_EQ(cmds[1].kind, mem::CmdKind::kPimLoad);
+  EXPECT_EQ(cmds[2].kind, mem::CmdKind::kPimLoad);
+  EXPECT_EQ(cmds[2].addr, s.write);
+  EXPECT_EQ(cmds[3].kind, mem::CmdKind::kPimGdlOp);
+}
+
 TEST_F(CostModelTest, LoweredStreamShape) {
   const auto plan = plan_or(4, 1ull << 14);
   const auto cmds = model_.lower(plan);

@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "common/error.hpp"
 #include "pinatubo/driver.hpp"
 
@@ -23,9 +25,10 @@ class ReplayTest : public ::testing::Test {
     return o;
   }
 
-  /// Runs `body` on a recording runtime, then replays the command stream
-  /// on a twin runtime holding the same initial data but no op results;
-  /// asserts every vector matches afterwards.
+  /// Runs `body` on a recording runtime, checks the recorded command
+  /// stream against the protocol, then replays it on a twin runtime
+  /// holding the same initial data but no op results; asserts every vector
+  /// matches afterwards.
   template <typename Body>
   void check_replay(std::uint64_t bits, std::size_t n_vectors, Body&& body,
                     const PimRuntime::Options& opts = recording()) {
@@ -41,6 +44,10 @@ class ReplayTest : public ::testing::Test {
       twin.pim_write(th.back(), v);
     }
     body(live, lh);
+    const PinatuboCostModel model(live.geometry(), opts.tech);
+    const verify::Report rep =
+        verify::Verifier(model).check_commands(live.commands());
+    ASSERT_TRUE(rep.ok()) << rep.to_string();
     CommandReplayer replayer(twin.memory());
     replayer.execute_all(live.commands());
     for (std::size_t i = 0; i < n_vectors; ++i)
@@ -137,6 +144,33 @@ TEST_F(ReplayTest, SttDemotedAndReplays) {
       recording(nvm::Tech::kSttMram));
 }
 
+TEST_F(ReplayTest, RecordedStreamsReplayUnderEveryVerifyPolicy) {
+  // The recovery ladder appends verify steps to what it executes: a second
+  // shadow sense, read-back folds at the global row buffer, and parity or
+  // read-back write checks that load rows without writing anything back.
+  using reliability::SenseVerify;
+  using reliability::WriteVerify;
+  for (const SenseVerify sense :
+       {SenseVerify::kNone, SenseVerify::kDouble, SenseVerify::kReadback})
+    for (const WriteVerify writes :
+         {WriteVerify::kNone, WriteVerify::kParity, WriteVerify::kReadback}) {
+      SCOPED_TRACE(std::string("verify.sense = ") + to_string(sense) +
+                   ", verify.writes = " + to_string(writes));
+      auto opts = recording();
+      opts.reliability.verify.sense = sense;
+      opts.reliability.verify.writes = writes;
+      check_replay(
+          5000, 5,
+          [](PimRuntime& rt, auto& h) {
+            rt.pim_op(BitOp::kOr, {h[0], h[1], h[2]}, h[3]);
+            rt.pim_op(BitOp::kAnd, {h[3], h[2]}, h[4]);
+            rt.pim_op(BitOp::kXor, {h[0], h[4]}, h[2]);
+            rt.pim_op(BitOp::kInv, {h[2]}, h[1]);
+          },
+          opts);
+    }
+}
+
 TEST(ReplayProtocol, ViolationsThrow) {
   mem::MainMemory memory({}, nvm::Tech::kPcm);
   CommandReplayer rp(memory);
@@ -152,6 +186,40 @@ TEST(ReplayProtocol, ViolationsThrow) {
   // Buffer op with empty buffer.
   EXPECT_THROW(rp.execute({mem::CmdKind::kPimGdlOp, {}, BitOp::kOr, 1 << 8}),
                Error);
+}
+
+TEST(ReplayProtocol, RejectedCommandsChangeNothing) {
+  mem::MainMemory memory({}, nvm::Tech::kPcm);
+  CommandReplayer rp(memory);
+  const mem::RowAddr row{};
+  mem::RowAddr other = row;
+  other.subarray = 1;
+  // A reset needs the mode-set; plain WR/PRE never belong to a sequence;
+  // ACTs stay on the subarray the reset addressed.
+  EXPECT_THROW(rp.execute({mem::CmdKind::kPimReset, row}), Error);
+  rp.execute({mem::CmdKind::kModeSet, row, BitOp::kOr});
+  EXPECT_THROW(rp.execute({mem::CmdKind::kWrite, row}), Error);
+  EXPECT_THROW(rp.execute({mem::CmdKind::kPrecharge, row}), Error);
+  rp.execute({mem::CmdKind::kPimReset, row});
+  try {
+    rp.execute({mem::CmdKind::kAct, other, BitOp::kOr, 0});
+    ADD_FAILURE() << "ACT on another subarray replayed";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find(
+                  "activate outside the subarray the reset addressed"),
+              std::string::npos)
+        << e.what();
+  }
+  // The rejected commands left the sequence where it was.
+  mem::RowAddr second = row;
+  second.row = 1;
+  rp.execute({mem::CmdKind::kAct, row, BitOp::kOr, 0});
+  rp.execute({mem::CmdKind::kAct, second, BitOp::kOr, 1});
+  rp.execute({mem::CmdKind::kPimSense, row, BitOp::kOr, 0});
+  rp.execute({mem::CmdKind::kPimWriteback, row, BitOp::kOr, 0});
+  EXPECT_EQ(rp.stats().commands, 6u);
+  EXPECT_EQ(rp.stats().activations, 2u);
+  EXPECT_EQ(rp.stats().writebacks, 1u);
 }
 
 TEST(ReplayStats, CountsCommandClasses) {

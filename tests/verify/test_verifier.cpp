@@ -273,6 +273,43 @@ TEST_F(VerifierTest, TwoFaultStreamReportsBothCommandIndices) {
                 " (WR): not part of a lowered PIM sequence");
 }
 
+TEST_F(VerifierTest, ActOnAnotherSubarrayTripsP12) {
+  std::vector<mem::Command> cmds;
+  model_.lower_step(plan_of(BitOp::kOr, 4).steps[0], cmds);
+  // MRS, PIM_RESET, ACT x4, ...: move the last ACT off the reset subarray.
+  ASSERT_EQ(cmds[5].kind, mem::CmdKind::kAct);
+  cmds[5].addr.subarray = (cmds[5].addr.subarray + 1) % geo_.subarrays_per_bank;
+  const Report rep = verifier_.check_commands(cmds);
+  ASSERT_EQ(rep.diags.size(), 1u) << rep.to_string();
+  EXPECT_EQ(rep.diags[0].to_string(),
+            "P12 bad-command-order: command 5 (ACT): activate outside the "
+            "subarray the reset addressed");
+}
+
+TEST_F(VerifierTest, BinaryBufferWritebackNeedsBothLoads) {
+  const mem::RowAddr row{};
+  const std::uint32_t window = mem::pack_aux(0, 1);
+  auto fold = [&](BitOp op, unsigned loads, bool writeback) {
+    std::vector<mem::Command> cmds = {{mem::CmdKind::kModeSet, row, op}};
+    for (unsigned r = 0; r < loads; ++r)
+      cmds.push_back({mem::CmdKind::kPimLoad, row, op, mem::pack_aux(r, 0)});
+    cmds.push_back({mem::CmdKind::kPimGdlOp, row, op, window});
+    if (writeback)
+      cmds.push_back({mem::CmdKind::kPimWriteback, row, op, window});
+    return verifier_.check_commands(cmds);
+  };
+  // A one-load verify fold that never writes back is legal, as are INV
+  // and two-operand folds that do.
+  EXPECT_TRUE(fold(BitOp::kOr, 1, false).ok());
+  EXPECT_TRUE(fold(BitOp::kInv, 1, true).ok());
+  EXPECT_TRUE(fold(BitOp::kAnd, 2, true).ok());
+  const Report rep = fold(BitOp::kAnd, 1, true);
+  ASSERT_EQ(rep.diags.size(), 1u) << rep.to_string();
+  EXPECT_EQ(rep.diags[0].to_string(),
+            "P12 bad-command-order: command 3 (PIM_WB): buffer writeback "
+            "with fewer loaded operands than the op takes");
+}
+
 // ---- hazard & resource pass ------------------------------------------------
 
 /// A batch with real dependencies: b = a|x, c = b&y (RAW on b), plus an
