@@ -103,13 +103,13 @@ double Config::get_double(const std::string& key, double def) const {
   const auto v = get(key);
   if (!v) return def;
   char* end = nullptr;
-  errno = 0;
   const double r = std::strtod(v->c_str(), &end);
   PIN_CHECK_MSG(end && *end == '\0' && end != v->c_str(),
                 "bad double for " << key << ": " << *v);
-  // ERANGE covers overflow (+-HUGE_VAL) and underflow (denormal/0); only
-  // overflow is a config error — underflow rounds to a usable value.
-  PIN_CHECK_MSG(errno != ERANGE || std::abs(r) != HUGE_VAL,
+  // Overflow (+-HUGE_VAL) and the inf/infinity/nan spellings are config
+  // errors: an infinite rate turns 1 + inf*0 into NaN downstream.
+  // Underflow rounds toward zero, a usable value.
+  PIN_CHECK_MSG(std::isfinite(r),
                 "double out of range for " << key << ": " << *v);
   return r;
 }

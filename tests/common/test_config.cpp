@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "common/error.hpp"
 
 namespace pinatubo {
@@ -91,6 +93,22 @@ TEST(Config, RejectsOutOfRangeDouble) {
   EXPECT_THROW(cfg.get_double("big", 0), Error);
   // Underflow is not an error: it rounds toward zero, a usable value.
   EXPECT_NEAR(cfg.get_double("small", 1.0), 0.0, 1e-300);
+}
+
+TEST(Config, RejectsNonFiniteDouble) {
+  const auto cfg = Config::from_string(
+      "a = inf\nb = -Infinity\nc = NAN\nd = -nan\ne = INF\nf = 12.5");
+  for (const char* key : {"a", "b", "c", "d", "e"}) {
+    try {
+      cfg.get_double(key, 0);
+      ADD_FAILURE() << key << " loaded";
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find(std::string(key) + ": "),
+                std::string::npos)
+          << e.what();
+    }
+  }
+  EXPECT_DOUBLE_EQ(cfg.get_double("f", 0), 12.5);
 }
 
 TEST(Config, RejectsEmptyTypedValue) {

@@ -98,6 +98,20 @@ TEST(Policy, RatesMustLieInUnitInterval) {
   EXPECT_NO_THROW(parse("fault.sense_ber = 0\n"));
 }
 
+TEST(Policy, NonFiniteValuesRejectedWithTheirKey) {
+  // An infinite drift makes 1 + inf*0 NaN, and min(1, NaN) then flips
+  // every sensed bit; inf/nan never reach the fault model.
+  for (const char* text :
+       {"fault.drift_rate = inf\n", "fault.drift_rate = infinity\n",
+        "fault.endurance_cycles = inf\n", "fault.endurance_cycles = NaN\n",
+        "fault.sense_ber = nan\n", "fault.wearout_rate = -INF\n"}) {
+    const std::string msg = error_of(text);
+    const std::string key(text, std::string(text).find(' '));
+    EXPECT_NE(msg.find(key), std::string::npos) << text << ": " << msg;
+  }
+  EXPECT_NO_THROW(parse("fault.drift_rate = 1e300\n"));
+}
+
 TEST(Policy, SaneCapsEnforced) {
   EXPECT_THROW(parse("retry.max_resense = 1001\n"), Error);
   EXPECT_THROW(parse("retry.spare_rows = 65\n"), Error);
