@@ -315,6 +315,67 @@ TEST(Reliability, DisabledPolicyLeavesTheRuntimeUntouched) {
   EXPECT_EQ(r.stats.retries, 0u);
 }
 
+TEST(Reliability, LadderPricesTheSchedulersIntraSteps) {
+  // On a clean chip with only parity write-verify attached, the ladder's
+  // first attempt always succeeds, so every intra step it prices must be
+  // the scheduler's: same results, same intra time, energy and step count
+  // as the default runtime (the parity checks land in the inter-sub class).
+  // The stream covers groups rotating across ranks (three groups, the last
+  // one short), a dst aliasing a non-first source, 5-way ORs chained at
+  // max_rows = 2, and INV, AND and XOR.
+  reliability::Policy parity;
+  parity.verify.sense = reliability::SenseVerify::kNone;
+  parity.verify.writes = reliability::WriteVerify::kParity;
+  parity.retry.remap = false;
+  for (const unsigned max_rows : {2u, 128u}) {
+    SCOPED_TRACE("max_rows = " + std::to_string(max_rows));
+    PimRuntime::Options plain_opts;
+    plain_opts.max_rows = max_rows;
+    PimRuntime::Options ladder_opts = plain_opts;
+    ladder_opts.reliability = parity;
+    PimRuntime plain({}, plain_opts), ladder({}, ladder_opts);
+    ASSERT_EQ(plain.recovery(), nullptr);
+    ASSERT_NE(ladder.recovery(), nullptr);
+
+    const mem::Geometry& geo = plain.geometry();
+    const std::uint64_t bits =
+        2 * geo.row_group_bits() + 3 * geo.sense_step_bits() + 77;
+    Rng rng(23);
+    std::vector<PimRuntime::Handle> v;
+    for (int i = 0; i < 6; ++i) {
+      const BitVector data = BitVector::random(bits, 0.3, rng);
+      v.push_back(plain.pim_malloc(bits));
+      ASSERT_EQ(ladder.pim_malloc(bits), v.back());
+      plain.pim_write(v.back(), data);
+      ladder.pim_write(v.back(), data);
+    }
+    const std::vector<PimRuntime::BatchOp> stream = {
+        {BitOp::kOr, {v[0], v[1], v[2], v[3], v[4]}, v[5]},
+        {BitOp::kOr, {v[1], v[2], v[3], v[4], v[5]}, v[3]},  // aliasing dst
+        {BitOp::kInv, {v[3]}, v[0]},
+        {BitOp::kAnd, {v[0], v[2]}, v[1]},
+        {BitOp::kXor, {v[4], v[1]}, v[1]},
+        {BitOp::kOr, {v[0], v[1], v[2], v[3], v[4]}, v[0]},
+    };
+    for (const auto& o : stream) {
+      plain.pim_op(o.op, o.srcs, o.dst);
+      ladder.pim_op(o.op, o.srcs, o.dst);
+      for (const auto h : v) EXPECT_EQ(ladder.pim_read(h), plain.pim_read(h));
+    }
+
+    const auto intra = step_index(StepKind::kIntraSub);
+    const ClassProfile& want = plain.profile();
+    const ClassProfile& got = ladder.profile();
+    ASSERT_GT(want.steps[intra], 0u);
+    ASSERT_EQ(want.steps[step_index(StepKind::kInterSub)], 0u);  // all intra
+    EXPECT_EQ(got.steps[intra], want.steps[intra]);
+    EXPECT_EQ(got.time_ns[intra], want.time_ns[intra]);
+    EXPECT_EQ(got.energy_pj[intra], want.energy_pj[intra]);
+    EXPECT_GT(got.steps[step_index(StepKind::kInterSub)], 0u);
+    EXPECT_EQ(ladder.stats().retries, 0u);
+  }
+}
+
 TEST(Reliability, ResetCostZeroesTheReliabilityCounts) {
   // reset_cost() zeroes the recovery manager's counters with the cost, so
   // the reliability Stats start over from zero like every other field.
