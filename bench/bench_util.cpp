@@ -7,6 +7,7 @@
 
 #include "common/error.hpp"
 #include "common/stats.hpp"
+#include "obs/trace.hpp"
 #include "sim/simd_backend.hpp"
 
 namespace pinatubo::bench {
@@ -107,14 +108,10 @@ std::string parse_trace_path(int argc, char** argv) {
 
 namespace {
 
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 2);
-  for (const char c : s) {
-    if (c == '"' || c == '\\') out.push_back('\\');
-    out.push_back(c);
-  }
-  return out;
+std::string quoted(const std::string& s) {
+  std::ostringstream os;
+  obs::write_json_string(os, s);
+  return os.str();
 }
 
 std::string json_number(double v) {
@@ -127,17 +124,16 @@ std::string json_number(double v) {
 }  // namespace
 
 void JsonReport::add(const std::string& key, double value) {
-  fields_.push_back("\"" + json_escape(key) + "\": " + json_number(value));
+  fields_.push_back(quoted(key) + ": " + json_number(value));
 }
 
 void JsonReport::add(const std::string& key, const std::string& value) {
-  fields_.push_back("\"" + json_escape(key) + "\": \"" + json_escape(value) +
-                    "\"");
+  fields_.push_back(quoted(key) + ": " + quoted(value));
 }
 
 void JsonReport::add_array(const std::string& key,
                            const std::vector<double>& values) {
-  std::string out = "\"" + json_escape(key) + "\": [";
+  std::string out = quoted(key) + ": [";
   for (std::size_t i = 0; i < values.size(); ++i) {
     if (i) out += ", ";
     out += json_number(values[i]);
@@ -147,12 +143,17 @@ void JsonReport::add_array(const std::string& key,
 
 void JsonReport::add_matrix(const std::string& key, const RatioMatrix& m) {
   std::ostringstream os;
-  os << "\"" << json_escape(key) << "\": {\"workloads\": [";
-  for (std::size_t i = 0; i < m.workload_names.size(); ++i)
-    os << (i ? ", " : "") << "\"" << json_escape(m.workload_names[i]) << "\"";
+  obs::write_json_string(os, key);
+  os << ": {\"workloads\": [";
+  for (std::size_t i = 0; i < m.workload_names.size(); ++i) {
+    if (i) os << ", ";
+    obs::write_json_string(os, m.workload_names[i]);
+  }
   os << "], \"backends\": [";
-  for (std::size_t i = 0; i < m.backend_names.size(); ++i)
-    os << (i ? ", " : "") << "\"" << json_escape(m.backend_names[i]) << "\"";
+  for (std::size_t i = 0; i < m.backend_names.size(); ++i) {
+    if (i) os << ", ";
+    obs::write_json_string(os, m.backend_names[i]);
+  }
   os << "], \"ratios\": [";
   for (std::size_t w = 0; w < m.ratios.size(); ++w) {
     os << (w ? ", " : "") << "[";

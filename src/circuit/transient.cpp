@@ -71,11 +71,6 @@ void TransientCircuit::set_voltage(NodeId n, double v) {
   nodes_[n].v = v;
 }
 
-const std::string& TransientCircuit::node_name(NodeId n) const {
-  PIN_CHECK(n < nodes_.size());
-  return nodes_[n].name;
-}
-
 void TransientCircuit::step(double dt_ns) {
   PIN_CHECK(dt_ns > 0.0);
   const double dt_s = dt_ns * 1e-9;

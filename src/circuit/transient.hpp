@@ -72,10 +72,6 @@ class TransientCircuit {
   /// Appends one sample of all node voltages.
   void sample(Waveform* wf, double t_ns) const;
 
-  double now_ns() const { return t_ns_; }
-  std::size_t node_count() const { return nodes_.size(); }
-  const std::string& node_name(NodeId n) const;
-
  private:
   struct Node {
     std::string name;

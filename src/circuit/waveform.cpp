@@ -49,23 +49,6 @@ double Waveform::value_at(std::size_t signal, double t_ns) const {
   return d[lo] + frac * (d[hi] - d[lo]);
 }
 
-double Waveform::first_crossing(std::size_t signal, double threshold,
-                                bool rising) const {
-  PIN_CHECK(signal < data_.size());
-  const auto& d = data_[signal];
-  for (std::size_t i = 1; i < d.size(); ++i) {
-    const bool crossed = rising ? (d[i - 1] < threshold && d[i] >= threshold)
-                                : (d[i - 1] > threshold && d[i] <= threshold);
-    if (crossed) {
-      // Linear interpolation inside the step.
-      const double dv = d[i] - d[i - 1];
-      const double frac = dv != 0 ? (threshold - d[i - 1]) / dv : 0.0;
-      return times_[i - 1] + frac * (times_[i] - times_[i - 1]);
-    }
-  }
-  return -1.0;
-}
-
 double Waveform::final_value(std::size_t signal) const {
   PIN_CHECK(signal < data_.size());
   PIN_CHECK(!data_[signal].empty());

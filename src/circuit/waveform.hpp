@@ -29,11 +29,6 @@ class Waveform {
   /// Linear interpolation of a signal at time `t_ns` (clamped to range).
   double value_at(std::size_t signal, double t_ns) const;
 
-  /// First time the signal crosses `threshold` rising (or falling);
-  /// returns negative if it never does.
-  double first_crossing(std::size_t signal, double threshold,
-                        bool rising = true) const;
-
   /// Final value of a signal; throws when empty.
   double final_value(std::size_t signal) const;
 

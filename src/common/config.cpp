@@ -53,10 +53,6 @@ void Config::set(const std::string& key, std::string value) {
   map_[key] = std::move(value);
 }
 
-bool Config::contains(const std::string& key) const {
-  return map_.count(key) != 0;
-}
-
 std::optional<std::string> Config::get(const std::string& key) const {
   const auto it = map_.find(key);
   if (it == map_.end()) return std::nullopt;

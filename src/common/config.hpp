@@ -23,7 +23,6 @@ class Config {
   static Config from_args(const std::vector<std::string>& args);
 
   void set(const std::string& key, std::string value);
-  bool contains(const std::string& key) const;
 
   std::optional<std::string> get(const std::string& key) const;
   std::string get_or(const std::string& key, const std::string& def) const;

@@ -57,7 +57,6 @@ class ChannelTimer {
   /// Earliest time a command to `bank` could start (bank + command bus
   /// free); lets a scheduler pick the next issue without mutating state.
   double bank_free_ns(unsigned bank) const;
-  unsigned bank_count() const { return static_cast<unsigned>(banks_.size()); }
 
   void reset();
 

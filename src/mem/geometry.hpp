@@ -61,8 +61,6 @@ struct Geometry {
   }
   std::uint64_t total_bytes() const { return total_bits() / 8; }
   unsigned total_ranks() const { return channels * ranks_per_channel; }
-  /// Banks visible to one channel's scheduler.
-  unsigned banks_per_rank() const { return banks_per_chip; }
 };
 
 /// Builds a geometry from `geometry.*` config keys (missing keys keep the

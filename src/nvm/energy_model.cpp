@@ -43,8 +43,4 @@ double ArrayEnergyModel::logic_pj(std::uint64_t bits) const {
   return static_cast<double>(bits) * kLogicPjPerBit;
 }
 
-double ArrayEnergyModel::buffer_latch_pj(std::uint64_t bits) const {
-  return static_cast<double>(bits) * kLatchPjPerBit;
-}
-
 }  // namespace pinatubo::nvm

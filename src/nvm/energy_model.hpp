@@ -48,9 +48,6 @@ class ArrayEnergyModel {
   /// Digital bitwise logic evaluation (AC-PIM / inter-subarray add-ons).
   double logic_pj(std::uint64_t bits) const;
 
-  /// Latching bits into a global/IO buffer.
-  double buffer_latch_pj(std::uint64_t bits) const;
-
   /// Fixed controller/command decode energy per DDR command.
   double command_pj() const { return kCommandPj; }
 
@@ -66,7 +63,6 @@ class ArrayEnergyModel {
   static constexpr double kGdlPjPerBit = 0.5;        // long on-chip wires
   static constexpr double kIoPjPerBit = 18.0;        // DDR3 off-chip
   static constexpr double kLogicPjPerBit = 0.05;     // 65nm gate evaluate
-  static constexpr double kLatchPjPerBit = 0.02;
   static constexpr double kCommandPj = 5.0;
 };
 

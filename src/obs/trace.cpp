@@ -38,9 +38,7 @@ void TraceSession::clear() {
   metrics_.clear();
 }
 
-namespace {
-
-void append_escaped(std::ostringstream& os, const std::string& s) {
+void write_json_string(std::ostream& os, std::string_view s) {
   os << '"';
   for (const char c : s) {
     switch (c) {
@@ -61,8 +59,6 @@ void append_escaped(std::ostringstream& os, const std::string& s) {
   os << '"';
 }
 
-}  // namespace
-
 std::string TraceSession::to_chrome_json() const {
   std::ostringstream os;
   os.setf(std::ios::fixed);
@@ -76,7 +72,7 @@ std::string TraceSession::to_chrome_json() const {
     first = false;
     os << "{\"ph\":\"M\",\"name\":\"thread_name\",\"pid\":1,\"tid\":"
        << t << ",\"args\":{\"name\":";
-    append_escaped(os, tracks_[t]);
+    write_json_string(os, tracks_[t]);
     os << "}},{\"ph\":\"M\",\"name\":\"thread_sort_index\",\"pid\":1,"
        << "\"tid\":" << t << ",\"args\":{\"sort_index\":" << t << "}}";
   }
@@ -85,10 +81,10 @@ std::string TraceSession::to_chrome_json() const {
     first = false;
     // Complete events; Chrome ts/dur are microseconds.
     os << "{\"ph\":\"X\",\"pid\":1,\"tid\":" << s.track << ",\"name\":";
-    append_escaped(os, s.name);
+    write_json_string(os, s.name);
     if (!s.category.empty()) {
       os << ",\"cat\":";
-      append_escaped(os, s.category);
+      write_json_string(os, s.category);
     }
     os << ",\"ts\":" << s.start_ns / 1e3 << ",\"dur\":" << s.dur_ns / 1e3
        << "}";
@@ -99,7 +95,7 @@ std::string TraceSession::to_chrome_json() const {
   for (const auto& [name, value] : metrics_.counters()) {
     if (!first) os << ",";
     first = false;
-    append_escaped(os, name);
+    write_json_string(os, name);
     os << ":" << value;
   }
   os << "}}}";

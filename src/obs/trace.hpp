@@ -19,7 +19,9 @@
 #pragma once
 
 #include <cstdint>
+#include <iosfwd>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "obs/metrics.hpp"
@@ -80,5 +82,11 @@ class TraceSession {
   std::vector<std::string> tracks_;
   MetricsRegistry metrics_;
 };
+
+/// Writes `s` to `os` as a quoted JSON string: `"` and `\` are
+/// backslash-escaped, newline and tab become `\n` and `\t`, any other
+/// byte below 0x20 becomes `\u00xx`.  The one JSON string escaper of the
+/// tree: Chrome traces, lint summaries and bench reports all use it.
+void write_json_string(std::ostream& os, std::string_view s);
 
 }  // namespace pinatubo::obs

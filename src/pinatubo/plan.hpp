@@ -55,22 +55,6 @@ struct PlanStep {
   std::vector<unsigned> read_cols;
   /// Destination row of the writeback (valid when `writeback`).
   mem::RowAddr write;
-
-  // ---- resource annotations (execution-engine scheduling) ---------------
-  /// Global id of the execution resource this step occupies: the lock-step
-  /// bank cluster, i.e. one rank of one channel.  Steps with different
-  /// resource ids can overlap in time (different ranks/channels); steps
-  /// sharing one serialize on it.
-  unsigned resource(unsigned ranks_per_channel) const {
-    return channel * ranks_per_channel + rank;
-  }
-  /// Whether the step moves real data over the shared DDR data bus (host
-  /// result bursts and cross-rank operand hops); such transfers serialize
-  /// at the channel bandwidth even across ranks.
-  bool uses_data_bus() const {
-    return kind == StepKind::kHostRead ||
-           (kind == StepKind::kInterBank && crosses_rank);
-  }
 };
 
 /// A lowered logical operation.

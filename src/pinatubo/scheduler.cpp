@@ -7,6 +7,17 @@
 
 namespace pinatubo::core {
 
+namespace {
+
+/// The row `p` occupies in row group `g`.  Bank 0: commands broadcast
+/// across the lock-step bank cluster.
+mem::RowAddr group_addr(const Placement& p, std::uint64_t g, unsigned ranks) {
+  return mem::RowAddr{p.channel, p.group_rank(g, ranks), 0, p.subarray,
+                      p.group_row(g, ranks)};
+}
+
+}  // namespace
+
 const char* to_string(StepKind k) {
   switch (k) {
     case StepKind::kIntraSub:
@@ -113,12 +124,28 @@ OpPlan OpScheduler::plan(BitOp op, const std::vector<Placement>& srcs,
     // group-0 row, which is what the lowered RD bursts address.
     rd.reads.reserve(dst.groups);
     for (std::uint64_t g = 0; g < dst.groups; ++g)
-      rd.reads.push_back(mem::RowAddr{
-          dst.channel, dst.group_rank(g, geo_.ranks_per_channel), 0,
-          dst.subarray, dst.group_row(g, geo_.ranks_per_channel)});
+      rd.reads.push_back(group_addr(dst, g, geo_.ranks_per_channel));
     out.steps.push_back(rd);
   }
   return out;
+}
+
+PlanStep OpScheduler::group_step(const Placement& dst, std::uint64_t g) const {
+  const std::uint64_t group_bits = geo_.row_group_bits();
+  const std::uint64_t step_bits = geo_.sense_step_bits();
+  const unsigned ranks = geo_.ranks_per_channel;
+  PlanStep st;
+  st.bits = std::min(dst.bits - g * group_bits,
+                     dst.groups == 1 ? dst.bits : group_bits);
+  st.col_steps = static_cast<unsigned>((st.bits + step_bits - 1) / step_bits);
+  st.channel = dst.channel;
+  st.rank = dst.group_rank(g, ranks);
+  st.subarray = dst.subarray;
+  st.row = dst.group_row(g, ranks);
+  st.col_start = dst.col_stripe;
+  st.group = g;
+  st.write = group_addr(dst, g, ranks);
+  return st;
 }
 
 void OpScheduler::plan_intra(OpPlan& out, BitOp op,
@@ -126,8 +153,6 @@ void OpScheduler::plan_intra(OpPlan& out, BitOp op,
                              const Placement& dst) const {
   const unsigned max_rows = effective_max_rows(op);
   const unsigned ranks = geo_.ranks_per_channel;
-  const std::uint64_t group_bits = geo_.row_group_bits();
-  const std::uint64_t step_bits = geo_.sense_step_bits();
 
   // In-place operands (aliasing dst) must be consumed by the FIRST
   // activation — later chain steps reuse the dst row as the accumulator.
@@ -141,36 +166,19 @@ void OpScheduler::plan_intra(OpPlan& out, BitOp op,
                         });
 
   for (std::uint64_t g = 0; g < dst.groups; ++g) {
-    const std::uint64_t bits_g =
-        std::min(dst.bits - g * group_bits,
-                 dst.groups == 1 ? dst.bits : group_bits);
-    const auto cols =
-        static_cast<unsigned>((bits_g + step_bits - 1) / step_bits);
-    auto addr_of = [&](const Placement& p) {
-      return mem::RowAddr{p.channel, p.group_rank(g, ranks), 0, p.subarray,
-                          p.group_row(g, ranks)};
-    };
-    auto make_step = [&](std::vector<mem::RowAddr> reads) {
-      PlanStep st;
+    const PlanStep shared = group_step(dst, g);
+    auto addr_of = [&](const Placement& p) { return group_addr(p, g, ranks); };
+    auto add_step = [&](std::vector<mem::RowAddr> reads) {
+      PlanStep st = shared;
       st.kind = StepKind::kIntraSub;
       st.op = op;
       st.rows = static_cast<unsigned>(reads.size());
-      st.col_steps = cols;
-      st.bits = bits_g;
-      st.writeback = true;
-      st.channel = dst.channel;
-      st.rank = dst.group_rank(g, ranks);
-      st.subarray = dst.subarray;
-      st.row = dst.group_row(g, ranks);
-      st.col_start = dst.col_stripe;
-      st.group = g;
+      st.read_cols.assign(reads.size(), dst.col_stripe);  // aligned
       st.reads = std::move(reads);
-      st.read_cols.assign(st.reads.size(), dst.col_stripe);  // aligned
-      st.write = addr_of(dst);
-      return st;
+      out.steps.push_back(std::move(st));
     };
     if (op == BitOp::kInv) {
-      out.steps.push_back(make_step({addr_of(ordered[0])}));
+      add_step({addr_of(ordered[0])});
       continue;
     }
     const auto n = static_cast<unsigned>(ordered.size());
@@ -178,14 +186,14 @@ void OpScheduler::plan_intra(OpPlan& out, BitOp op,
     std::vector<mem::RowAddr> reads;
     for (unsigned i = 0; i < consumed; ++i)
       reads.push_back(addr_of(ordered[i]));
-    out.steps.push_back(make_step(std::move(reads)));
+    add_step(std::move(reads));
     while (consumed < n) {
       // Accumulator row (dst) re-activated with the next operand batch.
       const unsigned k = std::min(max_rows, n - consumed + 1);
-      std::vector<mem::RowAddr> chain{addr_of(dst)};
+      std::vector<mem::RowAddr> chain{shared.write};
       for (unsigned i = 0; i + 1 < k; ++i)
         chain.push_back(addr_of(ordered[consumed + i]));
-      out.steps.push_back(make_step(std::move(chain)));
+      add_step(std::move(chain));
       consumed += k - 1;
     }
   }
@@ -194,36 +202,17 @@ void OpScheduler::plan_intra(OpPlan& out, BitOp op,
 void OpScheduler::plan_buffer(OpPlan& out, BitOp op, StepKind kind,
                               const std::vector<Placement>& srcs,
                               const Placement& dst) const {
-  const std::uint64_t group_bits = geo_.row_group_bits();
-  const std::uint64_t step_bits = geo_.sense_step_bits();
-  const std::uint64_t groups = dst.groups;
-
-  for (std::uint64_t g = 0; g < groups; ++g) {
-    const std::uint64_t bits_g = std::min(
-        dst.bits - g * group_bits, groups == 1 ? dst.bits : group_bits);
-    const auto cols =
-        static_cast<unsigned>((bits_g + step_bits - 1) / step_bits);
-    const unsigned ranks = geo_.ranks_per_channel;
-    auto addr_of = [&](const Placement& p) {
-      return mem::RowAddr{p.channel, p.group_rank(g, ranks), 0, p.subarray,
-                          p.group_row(g, ranks)};
-    };
+  const unsigned ranks = geo_.ranks_per_channel;
+  for (std::uint64_t g = 0; g < dst.groups; ++g) {
+    const PlanStep shared = group_step(dst, g);
+    auto addr_of = [&](const Placement& p) { return group_addr(p, g, ranks); };
     const std::size_t steps =
         op == BitOp::kInv ? 1 : srcs.size() - 1;
     for (std::size_t i = 0; i < steps; ++i) {
-      PlanStep st;
+      PlanStep st = shared;
       st.kind = kind;
       st.op = op;
       st.rows = op == BitOp::kInv ? 1 : 2;
-      st.col_steps = cols;
-      st.bits = bits_g;
-      st.writeback = true;
-      st.channel = dst.channel;
-      st.rank = dst.group_rank(g, ranks);
-      st.subarray = dst.subarray;
-      st.row = dst.group_row(g, ranks);
-      st.col_start = dst.col_stripe;
-      st.group = g;
       // Fold: first step combines the first two operands; later steps
       // combine the accumulator (at dst) with the next operand.
       const Placement& operand = srcs[std::min(i + 1, srcs.size() - 1)];
@@ -234,12 +223,11 @@ void OpScheduler::plan_buffer(OpPlan& out, BitOp op, StepKind kind,
         st.reads = {addr_of(srcs[0]), addr_of(operand)};
         st.read_cols = {srcs[0].col_stripe, operand.col_stripe};
       } else {
-        st.reads = {addr_of(dst), addr_of(operand)};
+        st.reads = {st.write, addr_of(operand)};
         st.read_cols = {dst.col_stripe, operand.col_stripe};
       }
-      st.write = addr_of(dst);
       st.crosses_rank = !operand.same_rank(dst);
-      out.steps.push_back(st);
+      out.steps.push_back(std::move(st));
     }
   }
 }

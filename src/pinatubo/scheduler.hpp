@@ -40,7 +40,9 @@ class OpScheduler {
 
   /// Lowers one logical op.  `srcs` are operand placements, `dst` the
   /// destination.  Throws on impossible shapes (same-row operands,
-  /// cross-channel operands, empty operand list).
+  /// cross-channel operands, empty operand list).  The plan is the one
+  /// spec of the op: `PimRuntime` executes its intra-subarray steps as
+  /// written, and prices the recovery ladder as copies of them.
   OpPlan plan(BitOp op, const std::vector<Placement>& srcs,
               const Placement& dst, bool host_reads_result) const;
 
@@ -51,6 +53,13 @@ class OpScheduler {
   const SchedulerConfig& config() const { return cfg_; }
 
  private:
+  /// The fields every step of `dst`'s row group `g` shares: the group's
+  /// bits and sensing steps, the executing rank/subarray/row, the first
+  /// column stripe and the writeback row.
+  PlanStep group_step(const Placement& dst, std::uint64_t g) const;
+  /// Activation chain: dst-aliasing operands go first, each activation
+  /// opens at most `effective_max_rows(op)` rows, later ones re-open dst
+  /// as the accumulator.
   void plan_intra(OpPlan& out, BitOp op, const std::vector<Placement>& srcs,
                   const Placement& dst) const;
   void plan_buffer(OpPlan& out, BitOp op, StepKind kind,

@@ -9,6 +9,8 @@
 #include <utility>
 #include <vector>
 
+#include "obs/trace.hpp"
+
 namespace pinatubo::verify {
 
 namespace {
@@ -262,15 +264,6 @@ bool tid_of(const JValue& ev, std::uint32_t& tid) {
   return true;
 }
 
-void append_json_escaped(std::ostringstream& os, const std::string& s) {
-  os << '"';
-  for (const char c : s) {
-    if (c == '"' || c == '\\') os << '\\';
-    os << c;
-  }
-  os << '"';
-}
-
 }  // namespace
 
 Report lint_trace_text(const std::string& json, TraceStats* stats) {
@@ -468,7 +461,7 @@ std::string TraceStats::to_json(const Report& rep) const {
   for (const Diagnostic& d : rep.diags) {
     if (!first) os << ',';
     first = false;
-    append_json_escaped(os, d.to_string());
+    obs::write_json_string(os, d.to_string());
   }
   os << "],\"spans\":" << spans << ",\"tracks\":" << tracks
      << ",\"max_end_ns\":" << max_end_ns
@@ -478,7 +471,7 @@ std::string TraceStats::to_json(const Report& rep) const {
   for (const auto& [cat, n] : spans_by_category) {
     if (!first) os << ',';
     first = false;
-    append_json_escaped(os, cat);
+    obs::write_json_string(os, cat);
     os << ':' << n;
   }
   os << "},\"counters\":{";
@@ -486,7 +479,7 @@ std::string TraceStats::to_json(const Report& rep) const {
   for (const auto& [name, value] : counters) {
     if (!first) os << ',';
     first = false;
-    append_json_escaped(os, name);
+    obs::write_json_string(os, name);
     os << ':' << value;
   }
   os << "}}";

@@ -251,5 +251,22 @@ TEST(TraceLint, StatsSummaryIsWellFormedJson) {
   EXPECT_NE(summary.find("\"spans\":"), std::string::npos);
 }
 
+TEST(TraceLint, SummaryEscapesControlCharacters) {
+  // Span categories with \n and \u0001 escapes are legal input; the lint
+  // decodes them, so the summary must escape them again — a raw control
+  // byte inside a JSON string makes the summary unreadable.
+  const std::string text =
+      synthetic(span(0.0, 1.0, "a\\nb") + "," + span(1.0, 1.0, "c\\u0001d"),
+                "\"max_span_end_ns\":2000.0,\"counters\":{}");
+  TraceStats stats;
+  const Report rep = lint_trace_text(text, &stats);
+  ASSERT_EQ(stats.spans_by_category.count("a\nb"), 1u);
+  const std::string summary = stats.to_json(rep);
+  for (const char c : summary)
+    EXPECT_GE(static_cast<unsigned char>(c), 0x20u) << summary;
+  EXPECT_NE(summary.find("\"a\\nb\""), std::string::npos) << summary;
+  EXPECT_NE(summary.find("\"c\\u0001d\""), std::string::npos) << summary;
+}
+
 }  // namespace
 }  // namespace pinatubo::verify
