@@ -20,6 +20,7 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -167,6 +168,9 @@ int main(int argc, char** argv) {
 
   if (!json_path.empty()) {
     std::ofstream out(json_path);
+    // Round-trip precision: the committed reports pin time and energy to
+    // the last bit, not only the counters.
+    out.precision(std::numeric_limits<double>::max_digits10);
     out << "{\n"
         << "  \"mode\": \"" << (corrupt ? "corrupt" : "recover") << "\",\n"
         << "  \"ops\": " << n_ops << ",\n"
