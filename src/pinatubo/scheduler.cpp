@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <sstream>
 
+#include "circuit/csa.hpp"
 #include "common/error.hpp"
 
 namespace pinatubo::core {
@@ -45,20 +46,28 @@ OpScheduler::OpScheduler(const mem::Geometry& geo, const SchedulerConfig& cfg)
     : geo_(geo), cfg_(cfg) {
   geo_.validate();
   PIN_CHECK(cfg.max_rows >= 2);
-}
-
-unsigned OpScheduler::effective_max_rows(BitOp op) const {
+  // The reference analysis behind these is the costliest part of planning
+  // an op, and depends only on (op, tech, cap).
+  const circuit::CsaModel csa;
   const auto& cell = nvm::cell_params(cfg_.tech);
-  switch (op) {
-    case BitOp::kOr:
-      return std::min(cfg_.max_rows, csa_.max_rows(BitOp::kOr, cell));
-    case BitOp::kAnd:
-    case BitOp::kXor:
-      return 2;
-    case BitOp::kInv:
-      return 1;
+  for (const BitOp op : {BitOp::kOr, BitOp::kAnd, BitOp::kXor, BitOp::kInv}) {
+    const auto i = static_cast<std::size_t>(op);
+    // e.g. 2-row AND on STT-MRAM (boundary ratio 1.43) is below the CSA's
+    // reliable threshold, so AND demotes to the digital buffer path there.
+    intra_ok_[i] = op == BitOp::kInv || csa.supports(op, 2, cell);
+    switch (op) {
+      case BitOp::kOr:
+        max_rows_[i] = std::min(cfg_.max_rows, csa.max_rows(op, cell));
+        break;
+      case BitOp::kAnd:
+      case BitOp::kXor:
+        max_rows_[i] = 2;
+        break;
+      case BitOp::kInv:
+        max_rows_[i] = 1;
+        break;
+    }
   }
-  PIN_UNREACHABLE("bad BitOp");
 }
 
 OpPlan OpScheduler::plan(BitOp op, const std::vector<Placement>& srcs,
@@ -80,12 +89,8 @@ OpPlan OpScheduler::plan(BitOp op, const std::vector<Placement>& srcs,
   out.bits = dst.bits;
 
   // Can this be an intra-subarray multi-row activation?  The technology's
-  // sensing margin must support the op's minimal activation shape at all —
-  // e.g. 2-row AND on STT-MRAM (boundary ratio 1.43) is below the CSA's
-  // reliable threshold, so AND demotes to the digital buffer path there.
-  const auto& cell = nvm::cell_params(cfg_.tech);
-  bool intra =
-      op == BitOp::kInv || csa_.supports(op, 2, cell);
+  // sensing margin must support the op's minimal activation shape at all.
+  bool intra = intra_ok_[static_cast<std::size_t>(op)];
   for (const auto& s : srcs) {
     intra &= s.same_subarray(dst) && s.column_aligned(dst) &&
              s.groups == dst.groups;

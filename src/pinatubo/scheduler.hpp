@@ -18,10 +18,11 @@
 // the paper's §4.1 explicitly leaves them to remapping.
 #pragma once
 
+#include <array>
 #include <vector>
 
-#include "circuit/csa.hpp"
 #include "mem/geometry.hpp"
+#include "nvm/technology.hpp"
 #include "pinatubo/allocator.hpp"
 #include "pinatubo/plan.hpp"
 
@@ -48,7 +49,9 @@ class OpScheduler {
 
   /// Effective rows one activation may open for `op` (config cap and
   /// technology sensing margin combined).
-  unsigned effective_max_rows(BitOp op) const;
+  unsigned effective_max_rows(BitOp op) const {
+    return max_rows_[static_cast<std::size_t>(op)];
+  }
 
   const SchedulerConfig& config() const { return cfg_; }
 
@@ -68,7 +71,11 @@ class OpScheduler {
 
   mem::Geometry geo_;
   SchedulerConfig cfg_;
-  circuit::CsaModel csa_;
+  /// Per-op sensing limits, read from the CSA model once at construction:
+  /// whether the op's minimal activation senses reliably on the
+  /// technology at all, and the rows one activation may open.
+  std::array<bool, 4> intra_ok_{};
+  std::array<unsigned, 4> max_rows_{};
 };
 
 }  // namespace pinatubo::core

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
+#include "circuit/csa.hpp"
 #include "common/error.hpp"
 #include "pinatubo/allocator.hpp"
 
@@ -175,6 +178,36 @@ TEST_F(SchedulerTest, SttAndDemotesToBufferPath) {
   EXPECT_EQ(or_plan.steps[0].kind, StepKind::kIntraSub);
   const auto xor_plan = stt.plan(BitOp::kXor, {ps[0], ps[1]}, ps[2], false);
   EXPECT_EQ(xor_plan.steps[0].kind, StepKind::kIntraSub);
+}
+
+TEST_F(SchedulerTest, CachedCsaLimitsMatchTheCsaModel) {
+  // The scheduler reads the CSA model once, at construction; its per-op
+  // row caps and its 2-row intra gate must be what the model says for
+  // every technology, op and configured cap.
+  const circuit::CsaModel csa;
+  const auto ps = alloc_n(3, 1ull << 14);  // co-located, column-aligned
+  for (const nvm::Tech tech :
+       {nvm::Tech::kPcm, nvm::Tech::kSttMram, nvm::Tech::kReRam}) {
+    const auto& cell = nvm::cell_params(tech);
+    for (const unsigned cap : {2u, 3u, 4u, 8u, 64u, 128u, 256u, 1024u}) {
+      SCOPED_TRACE(std::string(nvm::to_string(tech)) + " cap " +
+                   std::to_string(cap));
+      const OpScheduler s(geo_, SchedulerConfig{cap, tech});
+      EXPECT_EQ(s.effective_max_rows(BitOp::kOr),
+                std::min(cap, csa.max_rows(BitOp::kOr, cell)));
+      EXPECT_EQ(s.effective_max_rows(BitOp::kAnd), 2u);
+      EXPECT_EQ(s.effective_max_rows(BitOp::kXor), 2u);
+      EXPECT_EQ(s.effective_max_rows(BitOp::kInv), 1u);
+      for (const BitOp op : {BitOp::kOr, BitOp::kAnd, BitOp::kXor}) {
+        const auto plan = s.plan(op, {ps[0], ps[1]}, ps[2], false);
+        EXPECT_EQ(plan.steps[0].kind == StepKind::kIntraSub,
+                  csa.supports(op, 2, cell))
+            << to_string(op);
+      }
+      EXPECT_EQ(s.plan(BitOp::kInv, {ps[0]}, ps[2], false).steps[0].kind,
+                StepKind::kIntraSub);
+    }
+  }
 }
 
 TEST_F(SchedulerTest, PlanSummaryReadable) {
