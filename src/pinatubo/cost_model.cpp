@@ -4,6 +4,8 @@
 
 namespace pinatubo::core {
 
+using mem::Energy;
+
 PinatuboCostModel::PinatuboCostModel(const mem::Geometry& geo, nvm::Tech tech,
                                      double result_density)
     : geo_(geo), tech_(tech), timing_(mem::pcm_timing()),
@@ -36,7 +38,7 @@ mem::Cost PinatuboCostModel::step_cost(const PlanStep& s) const {
   const double width = static_cast<double>(hw_bits);
   const double ones = width * result_density_;
   const double zeros = width - ones;
-  cost.energy.add("ctrl.cmd", cmds * energy_.command_pj());
+  cost.energy.add(Energy::kCtrlCmd, cmds * energy_.command_pj());
 
   switch (s.kind) {
     case StepKind::kIntraSub: {
@@ -48,11 +50,11 @@ mem::Cost PinatuboCostModel::step_cost(const PlanStep& s) const {
       // Wordline energy: every opened row slice in every bank and chip.
       const double slices = static_cast<double>(s.rows) *
                             geo_.banks_per_chip * geo_.chips_per_rank;
-      cost.energy.add("pim.activate", slices * energy_.activate_row_pj());
-      cost.energy.add("pim.sense",
+      cost.energy.add(Energy::kPimActivate, slices * energy_.activate_row_pj());
+      cost.energy.add(Energy::kPimSense,
                       energy_.sense_pj(hw_bits, s.rows, timing_.t_cl_ns));
       if (s.writeback)
-        cost.energy.add("pim.write",
+        cost.energy.add(Energy::kPimWrite,
                         energy_.write_pj(static_cast<std::uint64_t>(ones),
                                          static_cast<std::uint64_t>(zeros)));
       return cost;
@@ -66,18 +68,18 @@ mem::Cost PinatuboCostModel::step_cost(const PlanStep& s) const {
       const double read_pj_bit =
           energy_.sense_pj(1, 1, timing_.t_cl_ns) + path_.gdl_pj_per_bit +
           path_.latch_pj_per_bit;
-      cost.energy.add("pim.buffer.read", 2.0 * width * read_pj_bit);
-      cost.energy.add("pim.buffer.logic", width * path_.logic_pj_per_bit);
+      cost.energy.add(Energy::kPimBufferRead, 2.0 * width * read_pj_bit);
+      cost.energy.add(Energy::kPimBufferLogic, width * path_.logic_pj_per_bit);
       if (s.writeback) {
-        cost.energy.add("pim.write",
+        cost.energy.add(Energy::kPimWrite,
                         energy_.write_pj(static_cast<std::uint64_t>(ones),
                                          static_cast<std::uint64_t>(zeros)));
-        cost.energy.add("pim.buffer.wb", width * path_.gdl_pj_per_bit);
+        cost.energy.add(Energy::kPimBufferWb, width * path_.gdl_pj_per_bit);
       }
       if (s.kind == StepKind::kInterBank && s.crosses_rank) {
         // One operand hops over the DDR bus between ranks.
         t += width / 8.0 / bus_.data_gbps;
-        cost.energy.add("bus.io", energy_.io_pj(hw_bits));
+        cost.energy.add(Energy::kBusIo, energy_.io_pj(hw_bits));
       }
       cost.time_ns = t;
       return cost;
@@ -86,7 +88,7 @@ mem::Cost PinatuboCostModel::step_cost(const PlanStep& s) const {
       // Result already latched; burst it to the CPU.
       const double bytes = static_cast<double>(s.bits) / 8.0;
       cost.time_ns = t_cmds + bytes / bus_.data_gbps;
-      cost.energy.add("bus.io", energy_.io_pj(s.bits));
+      cost.energy.add(Energy::kBusIo, energy_.io_pj(s.bits));
       return cost;
     }
   }

@@ -5,6 +5,8 @@
 
 namespace pinatubo::sim {
 
+using mem::Energy;
+
 AcPimBackend::AcPimBackend(const mem::Geometry& geo, nvm::Tech tech)
     : geo_(geo), timing_(mem::pcm_timing()),
       energy_(nvm::cell_params(tech)) {
@@ -50,17 +52,17 @@ mem::Cost AcPimBackend::op_cost(BitOp op, std::size_t n_operands,
        energy_.write_pj(0, 1) * (1.0 - result_density)) +
       path_.gdl_pj_per_bit;
   (void)ones;
-  cost.energy.add("acpim.read", steps * 2.0 * width * read_pj);
-  cost.energy.add("acpim.logic", steps * width * logic_pj);
-  cost.energy.add("acpim.write", steps * width * write_pj_bit);
-  cost.energy.add("ctrl.cmd",
+  cost.energy.add(Energy::kAcpimRead, steps * 2.0 * width * read_pj);
+  cost.energy.add(Energy::kAcpimLogic, steps * width * logic_pj);
+  cost.energy.add(Energy::kAcpimWrite, steps * width * write_pj_bit);
+  cost.energy.add(Energy::kCtrlCmd,
                   static_cast<double>(groups) * steps * 4.0 *
                       energy_.command_pj() * geo_.banks_per_chip);
 
   if (host_reads_result) {
     const auto bus = mem::ddr3_1600_bus();
     cost.time_ns += width / 8.0 / bus.data_gbps;
-    cost.energy.add("bus.io", energy_.io_pj(bits));
+    cost.energy.add(Energy::kBusIo, energy_.io_pj(bits));
   }
   return cost;
 }

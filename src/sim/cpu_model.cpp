@@ -1,10 +1,13 @@
 #include "sim/cpu_model.hpp"
 
 #include <algorithm>
+#include <string>
 
 #include "common/error.hpp"
 
 namespace pinatubo::sim {
+
+using mem::Energy;
 namespace {
 
 /// Above this many line accesses an op cannot have cache reuse (the
@@ -46,6 +49,12 @@ SimdCpuModel::SimdCpuModel(const CpuConfig& cfg, MemKind mem)
   PIN_CHECK(cfg.freq_ghz > 0);
   PIN_CHECK(cfg.simd_bits >= 8);
   PIN_CHECK(cfg.mlp >= 1);
+  for (unsigned l = 0; l < cache_.levels(); ++l) {
+    const std::string name = "cpu." + cache_.level_config(l).name;
+    const auto e = mem::energy_from_string(name);
+    PIN_CHECK_MSG(e, "no energy component " << name);
+    level_energy_.push_back(*e);
+  }
 }
 
 double SimdCpuModel::compute_gbps() const {
@@ -109,13 +118,13 @@ mem::Cost SimdCpuModel::price(std::uint64_t processed_bytes,
                               std::uint64_t mem_write_lines) const {
   const double line = cache_.line_bytes();
   double t = static_cast<double>(processed_bytes) / compute_gbps();
-  mem::EnergyCounter energy;
+  mem::Cost cost;
   for (unsigned l = 0; l < cache_.levels(); ++l) {
     const auto& cfg = cache_.level_config(l);
     const double bytes = static_cast<double>(served_lines[l]) * line;
     t = std::max(t, bytes / cfg.bandwidth_gbps);
-    energy.add("cpu." + cfg.name,
-               static_cast<double>(served_lines[l]) * cfg.hit_energy_pj);
+    cost.energy.add(level_energy_[l], static_cast<double>(served_lines[l]) *
+                                          cfg.hit_energy_pj);
   }
   const double rd_bytes = static_cast<double>(mem_read_lines) * line;
   const double wr_bytes = static_cast<double>(mem_write_lines) * line;
@@ -125,13 +134,13 @@ mem::Cost SimdCpuModel::price(std::uint64_t processed_bytes,
   // the binding constraint for the paper's single-threaded kernels.
   t = std::max(t, static_cast<double>(mem_read_lines) *
                       mem_params_.latency_ns / (cfg_.mlp * cfg_.bulk_cores));
-  energy.add("mem.read", rd_bytes * 8.0 * mem_params_.read_pj_per_bit);
-  energy.add("mem.write", wr_bytes * 8.0 * mem_params_.write_pj_per_bit);
-  energy.add("cpu.core", cfg_.active_power_w * t * 1e3);  // W * ns -> pJ
-
-  mem::Cost cost;
+  cost.energy.add(Energy::kMemRead,
+                  rd_bytes * 8.0 * mem_params_.read_pj_per_bit);
+  cost.energy.add(Energy::kMemWrite,
+                  wr_bytes * 8.0 * mem_params_.write_pj_per_bit);
+  // W * ns -> pJ
+  cost.energy.add(Energy::kCpuCore, cfg_.active_power_w * t * 1e3);
   cost.time_ns = t;
-  cost.energy = energy;
   return cost;
 }
 
@@ -145,12 +154,12 @@ mem::Cost scalar_cost(const CpuConfig& cfg, MemKind mem, std::uint64_t ops,
       static_cast<double>(bytes) * cfg.scalar_miss_fraction;
   const double t_mem = miss_bytes / mp.read_gbps;
   cost.time_ns = t_compute + t_mem;
-  cost.energy.add("cpu.core", cfg.scalar_power_w * cost.time_ns * 1e3);
-  cost.energy.add("mem.read", miss_bytes * 8.0 * mp.read_pj_per_bit);
+  cost.energy.add(Energy::kCpuCore, cfg.scalar_power_w * cost.time_ns * 1e3);
+  cost.energy.add(Energy::kMemRead, miss_bytes * 8.0 * mp.read_pj_per_bit);
   // Cached portion still pays cache energy (cheap, L2-class).
-  cost.energy.add("cpu.L2",
-                  static_cast<double>(bytes) * (1.0 - cfg.scalar_miss_fraction) /
-                      64.0 * 300.0);
+  cost.energy.add(Energy::kCpuL2, static_cast<double>(bytes) *
+                                      (1.0 - cfg.scalar_miss_fraction) /
+                                      64.0 * 300.0);
   return cost;
 }
 

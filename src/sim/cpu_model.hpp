@@ -121,6 +121,7 @@ class SimdCpuModel {
   MemKind mem_;
   MemStreamParams mem_params_;
   SliceSweep cache_;
+  std::vector<mem::Energy> level_energy_;  ///< cache level -> "cpu.<level>"
 };
 
 }  // namespace pinatubo::sim

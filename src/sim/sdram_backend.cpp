@@ -6,6 +6,8 @@
 
 namespace pinatubo::sim {
 
+using mem::Energy;
+
 SdramBackend::SdramBackend(const mem::Geometry& geo, const CpuConfig& cpu)
     : geo_(geo), timing_(mem::dram_timing()),
       fallback_cpu_(cpu, MemKind::kDram) {
@@ -39,14 +41,14 @@ mem::Cost SdramBackend::op_cost(std::size_t n_operands, std::uint64_t bits,
   const double e_group = steps_aap * 2.0 * bits_per_group * act_pj +
                          steps_tra * dram_.tra_row_factor * bits_per_group *
                              act_pj;
-  cost.energy.add("dram.act", static_cast<double>(groups) * e_group);
+  cost.energy.add(Energy::kDramAct, static_cast<double>(groups) * e_group);
 
   if (host_reads_result) {
     const auto bus = mem::ddr3_1600_bus();
     const double bytes = static_cast<double>(bits) / 8.0;
     cost.time_ns += bytes / bus.data_gbps;
     // Off-chip transfer energy (same I/O class as the NVM model's).
-    cost.energy.add("bus.io", static_cast<double>(bits) * 18.0);
+    cost.energy.add(Energy::kBusIo, static_cast<double>(bits) * 18.0);
   }
   return cost;
 }

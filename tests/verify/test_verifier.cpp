@@ -437,7 +437,7 @@ TEST_F(ScheduleTest, TamperedClassCountTripsR02) {
 
 TEST_F(ScheduleTest, TamperedEnergyTripsR03) {
   ExecutionEngine::Result r = result_;
-  r.cost.energy.add("tamper", 10.0);
+  r.cost.energy.add(mem::Energy::kBusIo, 10.0);
   expect_only(verifier_.check(plans_, r), Rule::kEnergyMismatch);
 }
 
