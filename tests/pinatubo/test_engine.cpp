@@ -4,10 +4,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 
 #include "pinatubo/allocator.hpp"
+#include "pinatubo/backend.hpp"
 #include "pinatubo/cost_model.hpp"
 #include "pinatubo/scheduler.hpp"
+#include "verify/verifier.hpp"
 
 namespace pinatubo::core {
 namespace {
@@ -221,6 +224,118 @@ TEST_F(EngineTest, ProfileAccountsEveryStep) {
   EXPECT_NEAR(energy, r.cost.energy.total_pj(),
               1e-9 * r.cost.energy.total_pj());
   EXPECT_EQ(r.profile.steps[step_index(StepKind::kHostRead)], 1u);
+}
+
+// ---- two channels ----------------------------------------------------------
+// The paper's machine has one channel, so no other test schedules a second
+// one.  This batch spans all four (channel, rank) clusters of a 2-channel
+// geometry and pins both engines' schedules bit for bit: a change to how the
+// overlapped engine orders or times steps across channels fails here.
+
+/// FNV-1a over every scheduled step's (plan, step, start, done, bus), the
+/// doubles by bit pattern, so a one-ulp move changes the digest.
+std::uint64_t schedule_digest(
+    const std::vector<ExecutionEngine::ScheduledStep>& schedule) {
+  std::uint64_t h = 1469598103934665603ull;
+  const auto mix = [&h](std::uint64_t v) {
+    for (int b = 0; b < 8; ++b) {
+      h ^= (v >> (8 * b)) & 0xffu;
+      h *= 1099511628211ull;
+    }
+  };
+  for (const auto& ss : schedule) {
+    mix(ss.plan);
+    mix(ss.step);
+    mix(std::bit_cast<std::uint64_t>(ss.start_ns));
+    mix(std::bit_cast<std::uint64_t>(ss.done_ns));
+    mix(std::bit_cast<std::uint64_t>(ss.bus_ns));
+  }
+  return h;
+}
+
+/// Multi-row ORs, dependent chains (some read by the host), same-rank
+/// inter-subarray ANDs and cross-rank AND/XOR buffer ops that rewrite one
+/// destination row, on every (channel, rank) cluster.
+sim::OpTrace two_channel_trace() {
+  constexpr std::uint64_t kBits = 1ull << 19;     // one full row group
+  constexpr std::uint64_t kRankIds = 64ull * 128;  // ids per rank
+  const auto id = [](unsigned ch, unsigned rk, std::uint64_t off) {
+    return (ch * 2 + rk) * kRankIds + off;
+  };
+  sim::OpTrace t;
+  t.name = "two_channel";
+  for (unsigned round = 0; round < 4; ++round)
+    for (unsigned ch = 0; ch < 2; ++ch)
+      for (unsigned rk = 0; rk < 2; ++rk) {
+        std::vector<std::uint64_t> srcs;
+        for (unsigned i = 0; i < 2 + (round + rk + ch) % 4; ++i)
+          srcs.push_back(id(ch, rk, 8 * round + i));
+        t.ops.push_back({BitOp::kOr, srcs, id(ch, rk, 64 + round), kBits,
+                         false});
+        if (round > 0)
+          t.ops.push_back({BitOp::kOr,
+                           {id(ch, rk, 64 + round), id(ch, rk, 63 + round)},
+                           id(ch, rk, 100 + round), kBits, round % 2 == 1});
+        if (rk == 0)  // subarray 1 of the same rank: inter-subarray
+          t.ops.push_back({BitOp::kAnd,
+                           {id(ch, 0, 8 * round), id(ch, 0, 128 + round)},
+                           id(ch, 0, 136 + round), kBits, false});
+        if (rk == 1)  // both ranks of the channel: inter-bank
+          t.ops.push_back({round % 2 == 0 ? BitOp::kAnd : BitOp::kXor,
+                           {id(ch, 0, 64 + round), id(ch, 1, 64 + round)},
+                           id(ch, round % 2, 120), kBits, ch == round % 2});
+      }
+  return t;
+}
+
+struct Pinned {
+  std::size_t steps;
+  std::uint64_t digest;
+  double makespan_ns, serial_ns, energy_pj;
+};
+
+void expect_pinned(const ExecutionEngine::Result& r, const Pinned& want) {
+  EXPECT_EQ(r.schedule.size(), want.steps);
+  EXPECT_EQ(schedule_digest(r.schedule), want.digest);
+  EXPECT_EQ(r.cost.time_ns, want.makespan_ns);
+  EXPECT_EQ(r.serial_time_ns, want.serial_ns);
+  EXPECT_EQ(r.cost.energy.total_pj(), want.energy_pj);
+}
+
+TEST(EngineTwoChannel, SchedulePinned) {
+  mem::Geometry geo;
+  geo.channels = 2;
+  const PinatuboBackend backend(geo);
+  const std::vector<OpPlan> plans = backend.plan(two_channel_trace());
+  const PinatuboCostModel model(geo, nvm::Tech::kPcm);
+  const verify::Verifier verifier(model);
+
+  std::uint64_t kinds[kStepKindCount] = {};
+  for (const auto& p : plans)
+    for (const auto& s : p.steps) ++kinds[step_index(s.kind)];
+  for (std::size_t k = 0; k < kStepKindCount; ++k)
+    EXPECT_GT(kinds[k], 0u) << to_string(static_cast<StepKind>(k));
+
+  const auto overlapped = ExecutionEngine(model).run(plans);
+  const auto serial = ExecutionEngine(model, EngineOptions{true}).run(plans);
+
+  std::size_t on_channel[2] = {};
+  for (const auto& ss : overlapped.schedule)
+    ++on_channel[plans[ss.plan].steps[ss.step].channel];
+  EXPECT_GT(on_channel[0], 0u);
+  EXPECT_GT(on_channel[1], 0u);
+  EXPECT_LT(overlapped.cost.time_ns, overlapped.serial_time_ns);
+
+  const verify::Report rep_o = verifier.check(plans, overlapped, false);
+  EXPECT_TRUE(rep_o.ok()) << rep_o.to_string();
+  const verify::Report rep_s = verifier.check(plans, serial, true);
+  EXPECT_TRUE(rep_s.ok()) << rep_s.to_string();
+
+  // Captured from the engine as it stood when this test was written.
+  expect_pinned(overlapped, {56, 0x20845feca1a12a4full, 0x1.77d7666666667p+15,
+                             0x1.af0099999999bp+16, 0x1.1b6ba64c7fbafp+29});
+  expect_pinned(serial, {56, 0x153cb2f3145d72d4ull, 0x1.af0099999999bp+16,
+                         0x1.af0099999999bp+16, 0x1.1b6ba64c7fbafp+29});
 }
 
 }  // namespace
