@@ -62,7 +62,8 @@ LwlTransient simulate_lwl_transient(std::size_t n_drivers,
   };
   std::vector<Driver> drv(n_drivers);
   for (std::size_t i = 0; i < n_drivers; ++i) {
-    const std::string sfx = "_" + std::to_string(i);
+    std::string sfx(1, '_');
+    sfx += std::to_string(i);
     auto& d = drv[i];
     d.dec = ckt.add_node("DEC" + sfx, 5e-15, 0.0);
     d.in = ckt.add_node("IN" + sfx, 5e-15, 0.0);

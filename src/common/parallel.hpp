@@ -1,7 +1,7 @@
 // Fixed-size thread pool and deterministic parallel_for.
 //
 // Shards the functional-simulation hot paths (analog sensing, Monte-Carlo
-// margin sweeps, per-channel schedule pricing) across cores.  Determinism
+// margin sweeps) across cores.  Determinism
 // contract: parallel_for partitions [begin, end) into contiguous chunks and
 // every chunk's work depends only on its own indices (callers derive
 // per-index RNG streams from a counter-based key, never from shared

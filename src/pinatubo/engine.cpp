@@ -5,7 +5,6 @@
 #include <utility>
 
 #include "common/error.hpp"
-#include "common/parallel.hpp"
 #include "mem/cmd_timer.hpp"
 #include "obs/schedule_trace.hpp"
 #include "verify/verifier.hpp"
@@ -32,14 +31,6 @@ struct Node {
   std::vector<std::uint32_t> succ;   ///< steps that must wait for this one
   std::uint32_t pending = 0;         ///< unscheduled predecessors
   double ready_ns = 0.0;             ///< max completion of predecessors
-};
-
-/// A scheduled step plus the key it was issued under (for the cross-channel
-/// merge back into global issue order).
-struct IssuedStep {
-  double pick_ns = 0.0;      ///< greedy key at issue time
-  std::uint32_t node = 0;    ///< program index (flatten order)
-  ExecutionEngine::ScheduledStep step;
 };
 
 }  // namespace
@@ -94,17 +85,15 @@ ExecutionEngine::Result ExecutionEngine::run(
     return res;
   }
 
-  // ---- per-channel scheduling ------------------------------------------
-  // Hazard keys carry the channel, and every row a step touches lives on
-  // the step's own channel (asserted below), so the dependency graph never
-  // crosses channels and each channel's timeline only consults its own
-  // timer.  Channels are therefore priced independently — in parallel on
-  // the thread pool — and the merged result is byte-identical to the old
-  // single-pass global scheduler: a channel's greedy schedule is exactly
-  // the channel-subsequence of the global greedy schedule, and issue order
-  // is recovered by sorting on (start time, program index).
+  // ---- dependency graph -----------------------------------------------
+  // Program-order scan; hazards resolve against the latest writer and the
+  // readers since that write.  Every row a step touches lives on the
+  // step's own channel, and hazard keys carry the channel, so no edge
+  // crosses channels.
   const mem::Geometry& geo = model_->geometry();
-  std::vector<std::vector<std::uint32_t>> by_channel(geo.channels);
+  std::unordered_map<std::uint64_t, std::uint32_t> last_writer;
+  std::unordered_map<std::uint64_t, std::vector<std::uint32_t>> readers;
+  std::vector<std::uint32_t> deps;
   for (std::uint32_t i = 0; i < nodes.size(); ++i) {
     const PlanStep& s = *nodes[i].s;
     PIN_CHECK_MSG(s.channel < geo.channels, "channel " << s.channel);
@@ -116,7 +105,32 @@ ExecutionEngine::Result ExecutionEngine::run(
       PIN_CHECK_MSG(s.write.channel == s.channel,
                     "step on channel " << s.channel << " writes "
                                        << s.write.to_string());
-    by_channel[s.channel].push_back(i);
+    deps.clear();
+    for (const mem::RowAddr& r : s.reads) {  // RAW
+      const auto it = last_writer.find(row_key(r));
+      if (it != last_writer.end()) deps.push_back(it->second);
+    }
+    if (s.writeback) {
+      const std::uint64_t w = row_key(s.write);
+      const auto it = last_writer.find(w);
+      if (it != last_writer.end()) deps.push_back(it->second);  // WAW
+      const auto rd = readers.find(w);
+      if (rd != readers.end())
+        for (std::uint32_t r : rd->second) deps.push_back(r);  // WAR
+    }
+    std::sort(deps.begin(), deps.end());
+    deps.erase(std::unique(deps.begin(), deps.end()), deps.end());
+    for (std::uint32_t d : deps) {
+      if (d == i) continue;
+      nodes[d].succ.push_back(i);
+      ++nodes[i].pending;
+    }
+    for (const mem::RowAddr& r : s.reads) readers[row_key(r)].push_back(i);
+    if (s.writeback) {
+      const std::uint64_t w = row_key(s.write);
+      last_writer[w] = i;
+      readers[w].clear();
+    }
   }
 
   // One ChannelTimer per channel with the ranks as its parallel "banks"
@@ -126,126 +140,60 @@ ExecutionEngine::Result ExecutionEngine::run(
   for (unsigned c = 0; c < geo.channels; ++c)
     timers.emplace_back(geo.ranks_per_channel, model_->bus());
 
-  const auto schedule_channel = [&](unsigned c) {
-    const std::vector<std::uint32_t>& mine = by_channel[c];
+  // ---- greedy list scheduling ------------------------------------------
+  // Among the dependency-ready steps of every channel, always issue the
+  // one whose actual start time — max(data-ready, rank cluster free,
+  // command bus free) — is earliest (program index breaking ties), on its
+  // own channel's timer.  Issuing in start-time order, not ready-time
+  // order, matters: the timer's bus cursors are monotonic, so a step that
+  // must wait long for its rank would otherwise drag the command bus into
+  // the future for every later-issued step.
+  std::vector<std::uint32_t> ready_list;
+  for (std::uint32_t i = 0; i < nodes.size(); ++i)
+    if (nodes[i].pending == 0) ready_list.push_back(i);
 
-    // Dependency graph: program order scan; hazards resolve against the
-    // latest writer and the readers since that write.
-    std::unordered_map<std::uint64_t, std::uint32_t> last_writer;
-    std::unordered_map<std::uint64_t, std::vector<std::uint32_t>> readers;
-    std::vector<std::uint32_t> deps;
-    for (const std::uint32_t i : mine) {
-      const PlanStep& s = *nodes[i].s;
-      deps.clear();
-      for (const mem::RowAddr& r : s.reads) {  // RAW
-        const auto it = last_writer.find(row_key(r));
-        if (it != last_writer.end()) deps.push_back(it->second);
-      }
-      if (s.writeback) {
-        const std::uint64_t w = row_key(s.write);
-        const auto it = last_writer.find(w);
-        if (it != last_writer.end()) deps.push_back(it->second);  // WAW
-        const auto rd = readers.find(w);
-        if (rd != readers.end())
-          for (std::uint32_t r : rd->second) deps.push_back(r);  // WAR
-      }
-      std::sort(deps.begin(), deps.end());
-      deps.erase(std::unique(deps.begin(), deps.end()), deps.end());
-      for (std::uint32_t d : deps) {
-        if (d == i) continue;
-        nodes[d].succ.push_back(i);
-        ++nodes[i].pending;
-      }
-      for (const mem::RowAddr& r : s.reads) readers[row_key(r)].push_back(i);
-      if (s.writeback) {
-        const std::uint64_t w = row_key(s.write);
-        last_writer[w] = i;
-        readers[w].clear();
+  res.schedule.reserve(nodes.size());
+  while (!ready_list.empty()) {
+    std::size_t pick = 0;
+    double pick_start = 0.0;
+    for (std::size_t j = 0; j < ready_list.size(); ++j) {
+      const Node& n = nodes[ready_list[j]];
+      const double start = std::max(
+          n.ready_ns, timers[n.s->channel].bank_free_ns(n.s->rank));
+      if (j == 0 || start < pick_start ||
+          (start == pick_start && ready_list[j] < ready_list[pick])) {
+        pick = j;
+        pick_start = start;
       }
     }
+    const std::uint32_t i = ready_list[pick];
+    ready_list[pick] = ready_list.back();
+    ready_list.pop_back();
 
-    // Greedy list scheduling.  Among the dependency-ready steps, always
-    // issue the one whose actual start time — max(data-ready, rank
-    // cluster free, command bus free) — is earliest (program index
-    // breaking ties).  Issuing in start-time order, not ready-time order,
-    // matters: the timer's bus cursors are monotonic, so a step that must
-    // wait long for its rank would otherwise drag the command bus into
-    // the future for every later-issued step.
-    std::vector<std::uint32_t> ready_list;
-    for (const std::uint32_t i : mine)
-      if (nodes[i].pending == 0) ready_list.push_back(i);
-
-    std::vector<IssuedStep> sched;
-    sched.reserve(mine.size());
-    std::size_t issued = 0;
-    while (!ready_list.empty()) {
-      std::size_t pick = 0;
-      double pick_start = 0.0;
-      for (std::size_t j = 0; j < ready_list.size(); ++j) {
-        const Node& n = nodes[ready_list[j]];
-        const double start =
-            std::max(n.ready_ns, timers[c].bank_free_ns(n.s->rank));
-        if (j == 0 || start < pick_start ||
-            (start == pick_start && ready_list[j] < ready_list[pick])) {
-          pick = j;
-          pick_start = start;
-        }
-      }
-      const std::uint32_t i = ready_list[pick];
-      ready_list[pick] = ready_list.back();
-      ready_list.pop_back();
-
-      Node& n = nodes[i];
-      const PlanStep& s = *n.s;
-      const std::uint64_t bytes = model_->step_bus_bytes(s);
-      const double burst = burst_ns(n);
-      double done;
-      if (bytes > 0) {
-        // The trailing data burst serializes on the channel's shared DDR
-        // bus; the bank-cluster part of the step occupies the rank.
-        const double occupy = std::max(0.0, n.cost.time_ns - burst);
-        done = timers[c].issue_data_after(s.rank, n.ready_ns, occupy, bytes);
-      } else {
-        done = timers[c].issue_after(s.rank, n.ready_ns, n.cost.time_ns);
-      }
-      sched.push_back({pick_start, i,
-                       {n.plan, n.step, done - n.cost.time_ns, done, burst}});
-      ++issued;
-      for (std::uint32_t sidx : n.succ) {
-        Node& t = nodes[sidx];
-        t.ready_ns = std::max(t.ready_ns, done);
-        if (--t.pending == 0) ready_list.push_back(sidx);
-      }
+    Node& n = nodes[i];
+    const PlanStep& s = *n.s;
+    mem::ChannelTimer& timer = timers[s.channel];
+    const std::uint64_t bytes = model_->step_bus_bytes(s);
+    const double burst = burst_ns(n);
+    double done;
+    if (bytes > 0) {
+      // The trailing data burst serializes on the channel's shared DDR
+      // bus; the bank-cluster part of the step occupies the rank.
+      const double occupy = std::max(0.0, n.cost.time_ns - burst);
+      done = timer.issue_data_after(s.rank, n.ready_ns, occupy, bytes);
+    } else {
+      done = timer.issue_after(s.rank, n.ready_ns, n.cost.time_ns);
     }
-    PIN_CHECK_MSG(issued == mine.size(), "dependency cycle in batch");
-    return sched;
-  };
-
-  std::vector<std::vector<IssuedStep>> channel_sched(geo.channels);
-  parallel_for(
-      0, geo.channels,
-      [&](std::size_t lo, std::size_t hi) {
-        for (std::size_t c = lo; c < hi; ++c)
-          channel_sched[c] = schedule_channel(static_cast<unsigned>(c));
-      },
-      /*grain=*/1);
-
-  // Merge into global issue order.  The old global scheduler issued steps
-  // in non-decreasing greedy-key order (the pick start: max of data-ready
-  // and rank-free), breaking ties by program index, and each channel's
-  // sequence is already sorted that way — so a stable merge on (pick key,
-  // program index) reproduces the old issue order exactly.
-  std::vector<IssuedStep> merged;
-  merged.reserve(nodes.size());
-  for (auto& cs : channel_sched)
-    merged.insert(merged.end(), cs.begin(), cs.end());
-  std::sort(merged.begin(), merged.end(),
-            [](const IssuedStep& a, const IssuedStep& b) {
-              if (a.pick_ns != b.pick_ns) return a.pick_ns < b.pick_ns;
-              return a.node < b.node;
-            });
-  res.schedule.reserve(merged.size());
-  for (const auto& m : merged) res.schedule.push_back(m.step);
+    res.schedule.push_back(
+        {n.plan, n.step, done - n.cost.time_ns, done, burst});
+    for (std::uint32_t sidx : n.succ) {
+      Node& t = nodes[sidx];
+      t.ready_ns = std::max(t.ready_ns, done);
+      if (--t.pending == 0) ready_list.push_back(sidx);
+    }
+  }
+  PIN_CHECK_MSG(res.schedule.size() == nodes.size(),
+                "dependency cycle in batch");
 
   double makespan = 0.0;
   for (const auto& t : timers) makespan = std::max(makespan, t.finish_ns());

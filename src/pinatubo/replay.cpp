@@ -21,8 +21,7 @@ void CommandReplayer::write_stripes(const mem::RowAddr& dst,
     for (const unsigned stripe : stripes) {
       const std::size_t lo = stripe * bank_share;
       BitVector window(bank_share);
-      for (std::size_t i = 0; i < bank_share; ++i)
-        if (rows[b].get(lo + i)) window.set(i);
+      copy_bits(window.words(), 0, rows[b].words(), lo, bank_share);
       mem_.write_row_partial(a, lo, window);
     }
   }
@@ -87,16 +86,10 @@ void CommandReplayer::execute(const mem::Command& cmd) {
           g.sense_step_bits() / g.banks_per_chip;
       auto shifted = [&](const BufferSlot& slot, unsigned bank) {
         BitVector out(g.rank_row_bits());
-        const std::ptrdiff_t delta =
-            (static_cast<std::ptrdiff_t>(dst_col) - slot.col) *
-            static_cast<std::ptrdiff_t>(bank_share);
-        for (unsigned c = 0; c < cols; ++c) {
-          const std::size_t src_lo = (slot.col + c) * bank_share;
-          for (std::size_t i = 0; i < bank_share; ++i)
-            if (slot.rows[bank].get(src_lo + i))
-              out.set(static_cast<std::size_t>(
-                  static_cast<std::ptrdiff_t>(src_lo + i) + delta));
-        }
+        for (unsigned c = 0; c < cols; ++c)
+          copy_bits(out.words(), (dst_col + c) * bank_share,
+                    slot.rows[bank].words(), (slot.col + c) * bank_share,
+                    bank_share);
         return out;
       };
       // A one-operand fold of a binary op (a verify check) passes its

@@ -327,9 +327,9 @@ void Verifier::hazard_resource_pass(
   }
 
   // ---- H02: the hazard graph, re-derived exactly like the engine ---------
-  // Program-order scan over bank-collapsed row keys.  Keys embed the
-  // channel, so one global scan produces the same edge set as the engine's
-  // per-channel scans.
+  // Program-order scan over bank-collapsed row keys, the same rules as the
+  // engine's scan but derived independently here, so a hazard the engine
+  // drops is still caught.
   std::unordered_map<std::uint64_t, std::size_t> last_writer;
   std::unordered_map<std::uint64_t, std::vector<std::size_t>> readers;
   for (std::size_t p = 0; p < plans.size(); ++p)

@@ -66,8 +66,12 @@ TEST(BitmapBfs, TraceShape) {
   EXPECT_LE(res.trace.ops.size(), res.levels * 4);
   for (const auto& op : res.trace.ops) {
     EXPECT_EQ(op.bits, g.nodes());
-    if (op.op == BitOp::kInv) EXPECT_EQ(op.srcs.size(), 1u);
-    if (op.op == BitOp::kAnd) EXPECT_EQ(op.srcs.size(), 2u);
+    if (op.op == BitOp::kInv) {
+      EXPECT_EQ(op.srcs.size(), 1u);
+    }
+    if (op.op == BitOp::kAnd) {
+      EXPECT_EQ(op.srcs.size(), 2u);
+    }
   }
   EXPECT_GT(res.trace.scalar_ops, 0u);
   EXPECT_GT(res.trace.scalar_bytes, 0u);
