@@ -31,16 +31,4 @@ double ArrayEnergyModel::write_pj(std::uint64_t ones,
          static_cast<double>(zeros) * cell_->reset_energy_pj;
 }
 
-double ArrayEnergyModel::gdl_pj(std::uint64_t bits) const {
-  return static_cast<double>(bits) * kGdlPjPerBit;
-}
-
-double ArrayEnergyModel::io_pj(std::uint64_t bits) const {
-  return static_cast<double>(bits) * kIoPjPerBit;
-}
-
-double ArrayEnergyModel::logic_pj(std::uint64_t bits) const {
-  return static_cast<double>(bits) * kLogicPjPerBit;
-}
-
 }  // namespace pinatubo::nvm

@@ -10,9 +10,10 @@
 //   row activation (decode + local wordline swing), per chip-slice
 //   sense step (CSA bias + bitline read current), per sensed bit
 //   row write (SET/RESET mix, data dependent), per written bit
-//   global dataline transfer, per bit
 //   off-chip DDR I/O, per bit
-//   digital logic op / buffer latch, per bit (AC-PIM & inter-sub/bank paths)
+// The global-row-buffer path (GDL, digital logic, latches) that AC-PIM and
+// Pinatubo's inter-subarray/bank steps share is priced by
+// sim::BufferPathParams.
 #pragma once
 
 #include <cstdint>
@@ -39,14 +40,11 @@ class ArrayEnergyModel {
   /// Writing `ones` SET bits and `zeros` RESET bits through the WDs.
   double write_pj(std::uint64_t ones, std::uint64_t zeros) const;
 
-  /// Global dataline movement (bank <-> global row buffer).
-  double gdl_pj(std::uint64_t bits) const;
-
-  /// Off-chip DDR bus transfer (I/O drivers, termination).
-  double io_pj(std::uint64_t bits) const;
-
-  /// Digital bitwise logic evaluation (AC-PIM / inter-subarray add-ons).
-  double logic_pj(std::uint64_t bits) const;
+  /// Off-chip DDR bus transfer (I/O drivers, termination).  The same for
+  /// every technology, so DRAM backends price their bus with it too.
+  static double io_pj(std::uint64_t bits) {
+    return static_cast<double>(bits) * kIoPjPerBit;
+  }
 
   /// Fixed controller/command decode energy per DDR command.
   double command_pj() const { return kCommandPj; }
@@ -60,9 +58,7 @@ class ArrayEnergyModel {
   static constexpr double kDecodePjPerRow = 2.0;
   static constexpr double kWordlinePjPerRow = 0.9;   // 8Kb of gate cap @ ~1V
   static constexpr double kSaBiasPjPerBit = 0.15;    // CSA static bias/sense
-  static constexpr double kGdlPjPerBit = 0.5;        // long on-chip wires
   static constexpr double kIoPjPerBit = 18.0;        // DDR3 off-chip
-  static constexpr double kLogicPjPerBit = 0.05;     // 65nm gate evaluate
   static constexpr double kCommandPj = 5.0;
 };
 

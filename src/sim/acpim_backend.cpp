@@ -46,12 +46,10 @@ mem::Cost AcPimBackend::op_cost(BitOp op, std::size_t n_operands,
       energy_.sense_pj(1, 1, timing_.t_cl_ns) +  // per bit sense
       path_.gdl_pj_per_bit + path_.latch_pj_per_bit;
   const double logic_pj = path_.logic_pj_per_bit;
-  const double ones = width * result_density;
   const double write_pj_bit =
       (energy_.write_pj(1, 0) * result_density +
        energy_.write_pj(0, 1) * (1.0 - result_density)) +
       path_.gdl_pj_per_bit;
-  (void)ones;
   cost.energy.add(Energy::kAcpimRead, steps * 2.0 * width * read_pj);
   cost.energy.add(Energy::kAcpimLogic, steps * width * logic_pj);
   cost.energy.add(Energy::kAcpimWrite, steps * width * write_pj_bit);

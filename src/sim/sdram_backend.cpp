@@ -3,6 +3,7 @@
 #include <cmath>
 
 #include "common/error.hpp"
+#include "nvm/energy_model.hpp"
 
 namespace pinatubo::sim {
 
@@ -47,8 +48,8 @@ mem::Cost SdramBackend::op_cost(std::size_t n_operands, std::uint64_t bits,
     const auto bus = mem::ddr3_1600_bus();
     const double bytes = static_cast<double>(bits) / 8.0;
     cost.time_ns += bytes / bus.data_gbps;
-    // Off-chip transfer energy (same I/O class as the NVM model's).
-    cost.energy.add(Energy::kBusIo, static_cast<double>(bits) * 18.0);
+    // Off-chip transfer energy (the same DDR I/O as the NVM designs').
+    cost.energy.add(Energy::kBusIo, nvm::ArrayEnergyModel::io_pj(bits));
   }
   return cost;
 }

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "common/error.hpp"
+#include "sim/pim_params.hpp"
 
 namespace pinatubo::nvm {
 namespace {
@@ -41,9 +42,16 @@ TEST_F(EnergyModelTest, WriteUsesSetResetMix) {
 }
 
 TEST_F(EnergyModelTest, IoDominatesOnChipMovement) {
-  // The PIM argument: off-chip I/O energy per bit >> internal movement.
-  EXPECT_GT(model_.io_pj(1), 10 * model_.gdl_pj(1));
-  EXPECT_GT(model_.gdl_pj(1), model_.logic_pj(1));
+  // The PIM argument: off-chip I/O energy per bit exceeds internal
+  // movement.  A buffer-path step (sim::BufferPathParams, the constants that
+  // price AC-PIM and Pinatubo's inter-subarray steps) moves each bit over the
+  // GDL in and back, latches and evaluates it; the bus costs more than all
+  // of that.
+  const sim::BufferPathParams path;
+  EXPECT_GT(model_.io_pj(1), 2 * path.gdl_pj_per_bit +
+                                 path.latch_pj_per_bit +
+                                 path.logic_pj_per_bit);
+  EXPECT_GT(path.gdl_pj_per_bit, path.logic_pj_per_bit);
 }
 
 TEST_F(EnergyModelTest, AnalogSensingBeatsDigitalPerOp) {
