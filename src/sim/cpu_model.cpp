@@ -66,42 +66,42 @@ bool BulkSweep::streaming() const {
   return lines * bases.size() > kDirectPathAccesses;
 }
 
-BulkSweep bulk_sweep(const TraceOp& op, unsigned line_bytes) {
+void bulk_sweep(const TraceOp& op, unsigned line_bytes, BulkSweep& out) {
   PIN_CHECK(!op.srcs.empty());
   PIN_CHECK(op.bits > 0);
   constexpr std::uint64_t kMax = ~std::uint64_t{0};
   PIN_CHECK_MSG(op.bits <= kMax - 63, "op of " << op.bits << " bits");
-  BulkSweep s;
   // Word-aligned footprint: the host kernels (BitVector) process whole
   // 64-bit words, so the baseline is charged for the same word count the
   // PIM functional layer touches.  Identical to (bits+7)/8 for the word-
   // multiple sizes of every figure; only sub-word tails round up.
-  s.bytes = (op.bits + 63) / 64 * 8;
-  s.lines = (s.bytes + line_bytes - 1) / line_bytes;
+  out.bytes = (op.bits + 63) / 64 * 8;
+  out.lines = (out.bytes + line_bytes - 1) / line_bytes;
   const std::uint64_t n_streams = op.srcs.size() + 1;  // +dst
   // Bounds bytes * streams, hence processed bytes and line accesses too.
-  PIN_CHECK_MSG(s.bytes <= kMax / n_streams,
-                n_streams << " streams of " << s.bytes << " B wrap");
-  s.bases.reserve(n_streams);
-  for (const auto src : op.srcs) s.bases.push_back(vector_base(src, s.bytes));
-  s.bases.push_back(vector_base(op.dst, s.bytes));
-  return s;
+  PIN_CHECK_MSG(out.bytes <= kMax / n_streams,
+                n_streams << " streams of " << out.bytes << " B wrap");
+  out.bases.clear();
+  for (const auto src : op.srcs)
+    out.bases.push_back(vector_base(src, out.bytes));
+  out.bases.push_back(vector_base(op.dst, out.bytes));
 }
 
 mem::Cost SimdCpuModel::bulk_op(const TraceOp& op) {
-  const BulkSweep s = bulk_sweep(op, cache_.line_bytes());
+  bulk_sweep(op, cache_.line_bytes(), op_sweep_);
+  const BulkSweep& s = op_sweep_;
   const std::uint64_t n_streams = s.bases.size();
   const std::uint64_t processed = s.bytes * op.srcs.size();
 
   if (s.streaming()) {
     // Streaming: every source line comes from memory, every dst line is
     // write-allocated and eventually written back.
-    std::vector<std::uint64_t> served(cache_.levels() + 1, 0);
+    SliceSweep::Served served{};
     served[cache_.levels()] = s.lines * n_streams;
     return price(processed, served, s.lines * n_streams, s.lines);
   }
 
-  const auto served = cache_.sweep(s.bases, s.lines);
+  const SliceSweep::Served served = cache_.sweep(s.bases, s.lines);
   // Dirty dst lines that will eventually be written back: approximate as
   // the dst lines that missed everywhere (streaming stores); cached dst
   // lines get rewritten in place.
@@ -113,7 +113,7 @@ mem::Cost SimdCpuModel::bulk_op(const TraceOp& op) {
 }
 
 mem::Cost SimdCpuModel::price(std::uint64_t processed_bytes,
-                              const std::vector<std::uint64_t>& served_lines,
+                              const SliceSweep::Served& served_lines,
                               std::uint64_t mem_read_lines,
                               std::uint64_t mem_write_lines) const {
   const double line = cache_.line_bytes();

@@ -2,7 +2,7 @@
 //
 // A 4-core, 3.3 GHz, 4-issue Haswell-class processor with 128-bit SSE/AVX
 // and the 32K/256K/6M cache hierarchy.  Bulk bitwise kernels are priced by
-// driving their access stream through the cache simulator and converting
+// driving their access stream through the cache model and converting
 // per-level service counts into bandwidth/latency bounds:
 //
 //   t_op = max( SIMD compute,  L1/L2/L3 bandwidth,  memory bandwidth,
@@ -17,10 +17,14 @@
 // source, then of dst, for i = 0, 1, ...  Each logical vector id sits at a
 // 4 KiB-aligned virtual base (bulk_sweep()), which is exactly the
 // alignment SliceSweep (sim/cache.hpp) needs on the Haswell hierarchy, so
-// the cache state is simulated one representative 64-line slice per
-// equivalence class instead of line by line.  The per-level counts, and so
-// every priced time and energy, equal those of the line-by-line
-// CacheHierarchy; tests check that op by op.
+// the cache state is one representative 64-line slice's MRU-ordered tag
+// rows per equivalence class, not a line-by-line simulation.  The
+// per-level counts, and so every priced time and energy, equal those of
+// the line-by-line CacheHierarchy (tests/sim/cache_oracle.hpp); tests
+// check that op by op.
+//
+// A warmed model prices an op without touching the heap: the stream bases
+// go into a reused buffer and the per-level counts into a fixed array.
 //
 // The *scalar* remainder of applications (frontier scanning, query
 // bookkeeping), which runs on the host in every backend, is priced by the
@@ -89,9 +93,9 @@ struct BulkSweep {
 };
 
 /// Lays out `op` in the virtual address space (disjoint 4 KiB-aligned
-/// arenas per vector id).  Rejects ops whose footprint arithmetic would
-/// wrap.
-BulkSweep bulk_sweep(const TraceOp& op, unsigned line_bytes);
+/// arenas per vector id) into `out`, reusing the storage of `out.bases`.
+/// Rejects ops whose footprint arithmetic would wrap.
+void bulk_sweep(const TraceOp& op, unsigned line_bytes, BulkSweep& out);
 
 class SimdCpuModel {
  public:
@@ -113,7 +117,7 @@ class SimdCpuModel {
 
  private:
   mem::Cost price(std::uint64_t processed_bytes,
-                  const std::vector<std::uint64_t>& served_lines,
+                  const SliceSweep::Served& served_lines,
                   std::uint64_t mem_read_lines,
                   std::uint64_t mem_write_lines) const;
 
@@ -121,6 +125,7 @@ class SimdCpuModel {
   MemKind mem_;
   MemStreamParams mem_params_;
   SliceSweep cache_;
+  BulkSweep op_sweep_;  ///< the op being priced; storage reused across ops
   std::vector<mem::Energy> level_energy_;  ///< cache level -> "cpu.<level>"
 };
 

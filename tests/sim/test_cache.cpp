@@ -1,4 +1,4 @@
-#include "sim/cache.hpp"
+#include "cache_oracle.hpp"
 
 #include <gtest/gtest.h>
 

@@ -8,6 +8,7 @@
 #include "apps/bitmap_index.hpp"
 #include "apps/graph.hpp"
 #include "apps/vector_workload.hpp"
+#include "cache_oracle.hpp"
 #include "common/error.hpp"
 #include "common/random.hpp"
 #include "sim/cache.hpp"
@@ -31,6 +32,16 @@ std::vector<std::uint64_t> oracle_sweep(CacheHierarchy& h,
   return h.served_lines();
 }
 
+/// SliceSweep's counts in the oracle's shape: levels() + 1 entries.
+std::vector<std::uint64_t> slice_sweep(SliceSweep& s,
+                                       const std::vector<std::uint64_t>& bases,
+                                       std::uint64_t lines) {
+  const SliceSweep::Served served = s.sweep(bases, lines);
+  for (unsigned l = s.levels() + 1; l < served.size(); ++l)
+    EXPECT_EQ(served[l], 0u) << "past memory, index " << l;
+  return {served.begin(), served.begin() + s.levels() + 1};
+}
+
 /// Drives both models through ops as SimdCpuModel::bulk_op would and
 /// counts the ops whose per-level counts differ.
 struct Differential {
@@ -40,10 +51,12 @@ struct Differential {
   std::uint64_t mismatches = 0;
 
   void run(const TraceOp& op) {
-    const BulkSweep s = bulk_sweep(op, sweep.line_bytes());
+    BulkSweep s;
+    bulk_sweep(op, sweep.line_bytes(), s);
     if (s.streaming()) return;  // closed form: the cache is not touched
     ++compared;
-    if (oracle_sweep(oracle, s.bases, s.lines) != sweep.sweep(s.bases, s.lines))
+    if (oracle_sweep(oracle, s.bases, s.lines) !=
+        slice_sweep(sweep, s.bases, s.lines))
       ++mismatches;
   }
   void flush() {
@@ -140,16 +153,44 @@ TEST(SliceSweep, MatchesOracleOnNestedTinyConfig) {
     std::vector<std::uint64_t> bases(1 + rng.uniform_u64(6));
     for (auto& b : bases) b = rng.uniform_u64(96) * 128;
     const std::uint64_t lines = 1 + rng.uniform_u64(200);
-    ASSERT_EQ(sweep.sweep(bases, lines), oracle_sweep(oracle, bases, lines))
+    ASSERT_EQ(slice_sweep(sweep, bases, lines),
+              oracle_sweep(oracle, bases, lines))
         << "sweep " << k;
   }
 }
 
+TEST(SliceSweep, MatchesOracleOnOddAssociativity) {
+  // 4 / 16 / 64 sets of 3, 6 and 16 ways: no level has the 8- or 12-way
+  // fixed-width probe.  Four slices, aligned to 256 B.
+  const std::vector<CacheLevelConfig> cfg = {tiny("L1", 4 * 3 * 64, 3),
+                                             tiny("L2", 16 * 6 * 64, 6),
+                                             tiny("L3", 64 * 16 * 64, 16)};
+  CacheHierarchy oracle(cfg);
+  SliceSweep sweep(cfg);
+  ASSERT_EQ(sweep.alignment_bytes(), 256u);
+  Rng rng(17);
+  std::vector<std::uint64_t> total(cfg.size() + 1, 0);
+  for (unsigned k = 0; k < 2000; ++k) {
+    std::vector<std::uint64_t> bases(1 + rng.uniform_u64(5));
+    for (auto& b : bases) b = rng.uniform_u64(64) * 256;
+    // The first 600 sweeps keep a single class (lines a multiple of 4)
+    // and fill every level; the later ones cut that long-lived class.
+    std::uint64_t lines = 4 * (1 + rng.uniform_u64(80));
+    if (k >= 600) lines += rng.uniform_u64(4);
+    const auto served = oracle_sweep(oracle, bases, lines);
+    ASSERT_EQ(slice_sweep(sweep, bases, lines), served) << "sweep " << k;
+    for (std::size_t l = 0; l < served.size(); ++l) total[l] += served[l];
+  }
+  for (std::size_t l = 0; l < total.size(); ++l)
+    EXPECT_GT(total[l], 0u) << "level " << l << " never served a line";
+}
+
 TEST(SliceSweep, CountsEveryAccessOnce) {
   SliceSweep s(haswell_cache_config());
-  const auto cold = s.sweep({0, 1 << 20, 2 << 20}, 100);
+  const std::vector<std::uint64_t> bases = {0, 1 << 20, 2 << 20};
+  const auto cold = slice_sweep(s, bases, 100);
   EXPECT_EQ(cold.back(), 300u);  // all from memory
-  const auto warm = s.sweep({0, 1 << 20, 2 << 20}, 100);
+  const auto warm = slice_sweep(s, bases, 100);
   EXPECT_EQ(warm[0], 300u);  // 19 KiB: L1-resident
 }
 
@@ -160,7 +201,19 @@ TEST(SliceSweep, RejectsWhatItCannotPriceExactly) {
   wide.line_bytes = 128;
   EXPECT_THROW(SliceSweep({tiny("L1", 1024, 2), wide}), Error);
   SliceSweep s(haswell_cache_config());
-  EXPECT_THROW(s.sweep({4096, 64}, 8), Error);  // base not slice-aligned
+  const std::vector<std::uint64_t> unaligned = {4096, 64};
+  EXPECT_THROW(s.sweep(unaligned, 8), Error);  // base not slice-aligned
+  // More levels than SliceSweep::Served has room for.
+  EXPECT_THROW(SliceSweep({tiny("L1", 128, 1), tiny("L2", 1024, 2),
+                           tiny("L3", 8192, 4), tiny("L4", 65536, 8),
+                           tiny("L5", 524288, 16)}),
+               Error);
+  // One-byte lines in one L1 set make the tag the address itself: a sweep
+  // may run up to, but not onto, the empty-way tag.
+  SliceSweep bytes({{"L1", 2, 2, 1, 1.0, 100.0, 100.0}});
+  const std::vector<std::uint64_t> top = {~std::uint64_t{0} - 8};
+  EXPECT_NO_THROW(bytes.sweep(top, 8));
+  EXPECT_THROW(bytes.sweep(top, 9), Error);
 }
 
 }  // namespace
