@@ -14,10 +14,6 @@ ChannelTimer::ChannelTimer(unsigned n_banks, const BusParams& bus)
   PIN_CHECK(bus.data_gbps > 0);
 }
 
-double ChannelTimer::issue(unsigned bank, double occupy_ns) {
-  return issue_after(bank, 0.0, occupy_ns);
-}
-
 double ChannelTimer::issue_after(unsigned bank, double ready_ns,
                                  double occupy_ns) {
   PIN_CHECK_MSG(bank < banks_.size(), "bank " << bank);
@@ -27,21 +23,6 @@ double ChannelTimer::issue_after(unsigned bank, double ready_ns,
   cmd_free_ = start + cmd_slot_ns_;
   banks_[bank] = start + std::max(occupy_ns, cmd_slot_ns_);
   return banks_[bank];
-}
-
-double ChannelTimer::issue_all_banks(double occupy_ns) {
-  PIN_CHECK(occupy_ns >= 0.0);
-  double start = cmd_free_;
-  for (double b : banks_) start = std::max(start, b);
-  cmd_free_ = start + cmd_slot_ns_;
-  const double done = start + std::max(occupy_ns, cmd_slot_ns_);
-  std::fill(banks_.begin(), banks_.end(), done);
-  return done;
-}
-
-double ChannelTimer::issue_data(unsigned bank, double occupy_ns,
-                                std::uint64_t bytes) {
-  return issue_data_after(bank, 0.0, occupy_ns, bytes);
 }
 
 double ChannelTimer::issue_data_after(unsigned bank, double ready_ns,
@@ -56,15 +37,6 @@ double ChannelTimer::issue_data_after(unsigned bank, double ready_ns,
   return data_free_;
 }
 
-double ChannelTimer::transfer(std::uint64_t bytes) {
-  // Even a pure buffer read owns the command-bus slot that starts the
-  // burst, and the burst serializes behind in-flight transfers.
-  const double start = std::max(cmd_free_, data_free_);
-  cmd_free_ = start + cmd_slot_ns_;
-  data_free_ = start + static_cast<double>(bytes) / bytes_per_ns_;
-  return data_free_;
-}
-
 double ChannelTimer::bank_free_ns(unsigned bank) const {
   PIN_CHECK_MSG(bank < banks_.size(), "bank " << bank);
   return std::max(cmd_free_, banks_[bank]);
@@ -74,12 +46,6 @@ double ChannelTimer::finish_ns() const {
   double t = std::max(cmd_free_, data_free_);
   for (double b : banks_) t = std::max(t, b);
   return t;
-}
-
-void ChannelTimer::reset() {
-  cmd_free_ = 0.0;
-  data_free_ = 0.0;
-  std::fill(banks_.begin(), banks_.end(), 0.0);
 }
 
 }  // namespace pinatubo::mem

@@ -239,13 +239,4 @@ BitVector MainMemory::sense_rows(const std::vector<RowAddr>& rows, BitOp op) {
   return out;
 }
 
-BitVector MainMemory::buffer_op(const RowAddr& a, const RowAddr& b,
-                                BitOp op) const {
-  codec_.check(a);
-  if (op != BitOp::kInv) codec_.check(b);
-  const BitVector ra = read_row(a);
-  if (op == BitOp::kInv) return ~ra;
-  return apply(op, ra, read_row(b));
-}
-
 }  // namespace pinatubo::mem

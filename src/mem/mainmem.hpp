@@ -83,11 +83,6 @@ class MainMemory {
   /// by the CSA for this technology.  Returns the sensed row (full width).
   BitVector sense_rows(const std::vector<RowAddr>& rows, BitOp op);
 
-  /// Digital op at the global row buffer (inter-subarray) or IO buffer
-  /// (inter-bank): exact two-operand logic.  `op` may be any BitOp; kInv
-  /// uses only `a`.
-  BitVector buffer_op(const RowAddr& a, const RowAddr& b, BitOp op) const;
-
   /// Number of distinct rows ever written (memory footprint proxy).
   std::size_t rows_written() const { return rows_written_; }
 

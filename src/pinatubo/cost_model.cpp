@@ -86,9 +86,8 @@ mem::Cost PinatuboCostModel::step_cost(const PlanStep& s) const {
     }
     case StepKind::kHostRead: {
       // Result already latched; burst it to the CPU.
-      const double bytes = static_cast<double>(s.bits) / 8.0;
-      cost.time_ns = t_cmds + bytes / bus_.data_gbps;
-      cost.energy.add(Energy::kBusIo, energy_.io_pj(s.bits));
+      cost.time_ns = t_cmds;
+      cost += sim::host_read_cost(s.bits);
       return cost;
     }
   }

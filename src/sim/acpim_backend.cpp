@@ -57,11 +57,7 @@ mem::Cost AcPimBackend::op_cost(BitOp op, std::size_t n_operands,
                   static_cast<double>(groups) * steps * 4.0 *
                       energy_.command_pj() * geo_.banks_per_chip);
 
-  if (host_reads_result) {
-    const auto bus = mem::ddr3_1600_bus();
-    cost.time_ns += width / 8.0 / bus.data_gbps;
-    cost.energy.add(Energy::kBusIo, energy_.io_pj(bits));
-  }
+  if (host_reads_result) cost += host_read_cost(bits);
   return cost;
 }
 

@@ -8,10 +8,17 @@
 //
 // The DRAM constants price S-DRAM's charge-sharing primitives (RowClone
 // AAP and triple-row activation), following the published mechanism.
+//
+// Every backend that leaves its result in memory prices handing it to the
+// host the same way, with `host_read_cost`.
 #pragma once
 
+#include <cstdint>
+
+#include "mem/energy.hpp"
 #include "mem/geometry.hpp"
 #include "mem/timing.hpp"
+#include "nvm/energy_model.hpp"
 
 namespace pinatubo::sim {
 
@@ -39,5 +46,15 @@ struct DramArrayParams {
     return t.t_ras_ns + t.t_rp_ns;
   }
 };
+
+/// Bursting a `bits`-wide result to the host over the DDR3-1600 data bus:
+/// the transfer time and its off-chip I/O energy.
+inline mem::Cost host_read_cost(std::uint64_t bits) {
+  mem::Cost cost;
+  cost.time_ns =
+      static_cast<double>(bits) / 8.0 / mem::ddr3_1600_bus().data_gbps;
+  cost.energy.add(mem::Energy::kBusIo, nvm::ArrayEnergyModel::io_pj(bits));
+  return cost;
+}
 
 }  // namespace pinatubo::sim

@@ -1,9 +1,6 @@
 #include "sim/sdram_backend.hpp"
 
-#include <cmath>
-
 #include "common/error.hpp"
-#include "nvm/energy_model.hpp"
 
 namespace pinatubo::sim {
 
@@ -44,13 +41,8 @@ mem::Cost SdramBackend::op_cost(std::size_t n_operands, std::uint64_t bits,
                              act_pj;
   cost.energy.add(Energy::kDramAct, static_cast<double>(groups) * e_group);
 
-  if (host_reads_result) {
-    const auto bus = mem::ddr3_1600_bus();
-    const double bytes = static_cast<double>(bits) / 8.0;
-    cost.time_ns += bytes / bus.data_gbps;
-    // Off-chip transfer energy (the same DDR I/O as the NVM designs').
-    cost.energy.add(Energy::kBusIo, nvm::ArrayEnergyModel::io_pj(bits));
-  }
+  // Off-chip transfer (the same DDR I/O as the NVM designs').
+  if (host_reads_result) cost += host_read_cost(bits);
   return cost;
 }
 

@@ -52,11 +52,9 @@ constexpr RuleInfo kRules[kRuleCount] = {
     {"H04", "bus-overlap",
      "data-bus bursts of one channel never overlap in time"},
     {"R01", "class-time-mismatch",
-     "per-class summed schedule durations equal the batch profile"},
+     "per-class summed trace span durations equal the class profile"},
     {"R02", "class-count-mismatch",
-     "per-class step counts and bus bytes equal the batch profile"},
-    {"R03", "energy-mismatch",
-     "summed per-step energy equals the batch energy (schedule-invariant)"},
+     "per-class trace span counts equal the class profile"},
     {"R04", "makespan-mismatch",
      "the latest schedule completion equals the reported batch makespan"},
     {"R05", "serial-sum-mismatch",

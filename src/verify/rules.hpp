@@ -8,7 +8,9 @@
 // Id ranges mirror the three passes plus the trace linter:
 //   P** — protocol / state-machine pass (plan-level legality),
 //   H** — hazard & resource pass (schedule-level legality),
-//   R** — reconciliation pass (accounting closure),
+//   R** — reconciliation: the makespan (R04) and serial mode (R05) in the
+//         schedule pass, a rendered trace against its class profile (R01,
+//         R02, R04) in `reconcile_trace`; R03 is retired and never reused,
 //   T** — exported-trace lint (Chrome trace-event JSON).
 #pragma once
 
@@ -38,12 +40,11 @@ enum class Rule : std::uint8_t {
   kHazardViolated,  ///< H02: RAW/WAW/WAR edges respected by the schedule
   kRankOverlap,     ///< H03: per-(channel,rank) busy windows never overlap
   kBusOverlap,      ///< H04: per-channel data-bus bursts never overlap
-  // ---- reconciliation pass ----------------------------------------------
+  // ---- reconciliation ---------------------------------------------------
   kClassTimeMismatch,   ///< R01: per-class span sums equal the profile
-  kClassCountMismatch,  ///< R02: per-class step counts equal the profile
-  kEnergyMismatch,      ///< R03: summed step energy equals the batch energy
+  kClassCountMismatch,  ///< R02: per-class span counts equal the profile
   kMakespanMismatch,    ///< R04: max schedule end equals the reported cost
-  kSerialSumMismatch,   ///< R05: serial baseline equals the step-time sum
+  kSerialSumMismatch,   ///< R05: serial-mode makespan equals the baseline
   // ---- exported-trace lint ----------------------------------------------
   kTraceParse,           ///< T01: the file is well-formed trace-event JSON
   kTracePastMakespan,    ///< T02: spans end by otherData.max_span_end_ns

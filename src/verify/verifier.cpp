@@ -53,6 +53,24 @@ bool addr_in_range(const mem::Geometry& g, const mem::RowAddr& a) {
          a.row < g.rows_per_subarray;
 }
 
+/// The reconciliation pass: R04 and, for a serial-mode result, R05.
+void reconcile_pass(const core::ExecutionEngine::Result& result, bool serial,
+                    Report& rep) {
+  if (rep.tripped(Rule::kScheduleShape)) return;  // the max end is meaningless
+  const auto none = Diagnostic::kNoIndex;
+  double max_done = 0.0;
+  for (const auto& ss : result.schedule)
+    max_done = std::max(max_done, ss.done_ns);
+  if (!near(max_done, result.cost.time_ns))
+    rep.add(Rule::kMakespanMismatch, none, none,
+            msg("last step completes at ", max_done,
+                " ns, batch makespan claims ", result.cost.time_ns, " ns"));
+  if (serial && !near(result.cost.time_ns, result.serial_time_ns))
+    rep.add(Rule::kSerialSumMismatch, none, none,
+            msg("serial-mode makespan ", result.cost.time_ns,
+                " ns != serial baseline ", result.serial_time_ns, " ns"));
+}
+
 }  // namespace
 
 Verifier::Verifier(const core::PinatuboCostModel& model, unsigned max_rows_cap)
@@ -252,7 +270,7 @@ Report Verifier::check(const std::vector<OpPlan>& plans,
   if (!rep.ok()) return rep;
   const Priced priced = price(plans);
   hazard_resource_pass(plans, result, priced, rep);
-  reconcile_pass(plans, result, serial, priced, rep);
+  reconcile_pass(result, serial, rep);
   return rep;
 }
 
@@ -263,11 +281,9 @@ Verifier::Priced Verifier::price(const std::vector<OpPlan>& plans) const {
     out.offset[p + 1] = out.offset[p] + plans[p].steps.size();
   out.price.reserve(out.offset.back());
   for (const OpPlan& plan : plans)
-    for (const PlanStep& s : plan.steps) {
-      const mem::Cost c = model_->step_cost(s);
+    for (const PlanStep& s : plan.steps)
       out.price.push_back(
-          {c.time_ns, c.energy.total_pj(), model_->step_bus_bytes(s)});
-    }
+          {model_->step_cost(s).time_ns, model_->step_bus_bytes(s)});
   return out;
 }
 
@@ -412,64 +428,6 @@ void Verifier::hazard_resource_pass(
   };
   check_overlap(rank_busy, Rule::kRankOverlap, "bank-cluster");
   check_overlap(bus_busy, Rule::kBusOverlap, "data-bus");
-}
-
-void Verifier::reconcile_pass(const std::vector<OpPlan>& plans,
-                              const core::ExecutionEngine::Result& result,
-                              bool serial, const Priced& priced,
-                              Report& rep) const {
-  if (rep.tripped(Rule::kScheduleShape)) return;  // sums are meaningless
-  const auto none = Diagnostic::kNoIndex;
-
-  double time_by_class[core::kStepKindCount] = {};
-  std::uint64_t steps_by_class[core::kStepKindCount] = {};
-  double energy_pj = 0.0, serial_sum = 0.0, max_done = 0.0;
-  std::uint64_t bus_bytes = 0;
-  for (const auto& ss : result.schedule) {
-    const PlanStep& s = plans[ss.plan].steps[ss.step];
-    const std::size_t k = core::step_index(s.kind);
-    time_by_class[k] += ss.done_ns - ss.start_ns;
-    ++steps_by_class[k];
-    serial_sum += ss.done_ns - ss.start_ns;
-    max_done = std::max(max_done, ss.done_ns);
-    const StepPrice& cost = priced.at(ss.plan, ss.step);
-    energy_pj += cost.energy_pj;  // summed in schedule order
-    bus_bytes += cost.bus_bytes;
-  }
-
-  for (std::size_t k = 0; k < core::kStepKindCount; ++k) {
-    const auto kind = static_cast<StepKind>(k);
-    if (!near(time_by_class[k], result.profile.time_ns[k]))
-      rep.add(Rule::kClassTimeMismatch, none, none,
-              msg(to_string(kind), ": scheduled ", time_by_class[k],
-                  " ns, profile claims ", result.profile.time_ns[k], " ns"));
-    if (steps_by_class[k] != result.profile.steps[k])
-      rep.add(Rule::kClassCountMismatch, none, none,
-              msg(to_string(kind), ": ", steps_by_class[k],
-                  " scheduled steps, profile claims ",
-                  result.profile.steps[k]));
-  }
-  if (bus_bytes != result.profile.bus_bytes)
-    rep.add(Rule::kClassCountMismatch, none, none,
-            msg("steps move ", bus_bytes, " bus bytes, profile claims ",
-                result.profile.bus_bytes));
-  if (!near(energy_pj, result.cost.energy.total_pj()))
-    rep.add(Rule::kEnergyMismatch, none, none,
-            msg("summed step energy ", energy_pj, " pJ != batch energy ",
-                result.cost.energy.total_pj(), " pJ"));
-  if (!near(max_done, result.cost.time_ns))
-    rep.add(Rule::kMakespanMismatch, none, none,
-            msg("last step completes at ", max_done,
-                " ns, batch makespan claims ", result.cost.time_ns, " ns"));
-  if (!near(serial_sum, result.serial_time_ns))
-    rep.add(Rule::kSerialSumMismatch, none, none,
-            msg("step times sum to ", serial_sum,
-                " ns, serial baseline claims ", result.serial_time_ns,
-                " ns"));
-  if (serial && !near(result.cost.time_ns, result.serial_time_ns))
-    rep.add(Rule::kSerialSumMismatch, none, none,
-            msg("serial-mode makespan ", result.cost.time_ns,
-                " ns != serial baseline ", result.serial_time_ns, " ns"));
 }
 
 Report reconcile_trace(const obs::TraceSession& trace,

@@ -22,11 +22,12 @@
 //      per-channel data-bus bursts (`bus_ns` tails) never overlap, retry /
 //      remap steps from the reliability ladder included;
 //
-//   3. reconciliation pass (accounting closure): per-class time/step/bus
-//      sums, total energy, the makespan, and the serial baseline re-derived
-//      from the schedule must agree with the engine's reported
-//      `Result`/`ClassProfile` within fixed-point slack — the library form
-//      of what test_obs_reconcile asserts against live traces.
+//   3. reconciliation pass: two checks that compare independent numbers —
+//      the latest schedule end equals the reported makespan (R04), and a
+//      serial-mode result's makespan equals its serial baseline (R05).
+//      The per-class, energy and serial-sum totals are summed once, by the
+//      engine; `reconcile_trace` below checks a rendered trace against the
+//      class profile (R01/R02/R04).
 //
 // The verifier never mutates anything and never throws on bad input; it
 // returns structured diagnostics (rule id, plan/step index, message).
@@ -57,7 +58,7 @@ class Verifier {
   /// Protocol pass over a batch.
   Report check(const std::vector<core::OpPlan>& plans) const;
   /// All three passes: protocol over the batch, hazard & resource over the
-  /// schedule, reconciliation of the result's accounting.  When the
+  /// schedule, reconciliation of the result's makespan.  When the
   /// protocol pass already failed, the later passes are skipped (their
   /// pricing would be meaningless on malformed steps).  `serial` must
   /// mirror the engine option the result was produced under.
@@ -76,10 +77,9 @@ class Verifier {
 
  private:
   /// One step's re-derived price, computed once per `check(plans, result)`
-  /// and read by both the H01 and the R-rule passes.
+  /// and read by the H01 pass.
   struct StepPrice {
     double time_ns;
-    double energy_pj;
     std::uint64_t bus_bytes;
   };
   /// Plan steps flattened in program order: step i of plan p sits at
@@ -87,9 +87,6 @@ class Verifier {
   struct Priced {
     std::vector<std::size_t> offset;
     std::vector<StepPrice> price;
-    const StepPrice& at(std::size_t plan, std::size_t step) const {
-      return price[offset[plan] + step];
-    }
   };
 
   /// `cmds` is the caller's lowering buffer, reused across steps.
@@ -103,9 +100,6 @@ class Verifier {
   void hazard_resource_pass(const std::vector<core::OpPlan>& plans,
                             const core::ExecutionEngine::Result& result,
                             const Priced& priced, Report& rep) const;
-  void reconcile_pass(const std::vector<core::OpPlan>& plans,
-                      const core::ExecutionEngine::Result& result,
-                      bool serial, const Priced& priced, Report& rep) const;
 
   const core::PinatuboCostModel* model_;
   unsigned max_rows_cap_;

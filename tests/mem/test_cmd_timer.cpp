@@ -11,7 +11,7 @@ BusParams bus() { return ddr3_1600_bus(); }
 
 TEST(ChannelTimer, SingleCommand) {
   ChannelTimer t(8, bus());
-  EXPECT_DOUBLE_EQ(t.issue(0, 10.0), 10.0);
+  EXPECT_DOUBLE_EQ(t.issue_after(0, 0.0, 10.0), 10.0);
   EXPECT_DOUBLE_EQ(t.finish_ns(), 10.0);
 }
 
@@ -20,42 +20,35 @@ TEST(ChannelTimer, BanksRunInParallel) {
   // 8 commands of 100 ns to 8 different banks: serialized only by the
   // command bus (1.25 ns each), so finish ~= 7*1.25 + 100.
   double last = 0;
-  for (unsigned b = 0; b < 8; ++b) last = t.issue(b, 100.0);
+  for (unsigned b = 0; b < 8; ++b) last = t.issue_after(b, 0.0, 100.0);
   EXPECT_NEAR(last, 7 * 1.25 + 100.0, 1e-9);
 }
 
 TEST(ChannelTimer, SameBankSerializes) {
   ChannelTimer t(8, bus());
-  t.issue(3, 100.0);
-  EXPECT_NEAR(t.issue(3, 50.0), 150.0, 1e-9);
+  t.issue_after(3, 0.0, 100.0);
+  EXPECT_NEAR(t.issue_after(3, 0.0, 50.0), 150.0, 1e-9);
 }
 
 TEST(ChannelTimer, CommandBusSerializesZeroWork) {
-  ChannelTimer t(4, bus());
-  // Even zero-occupancy commands consume bus slots.
-  for (int i = 0; i < 10; ++i) t.issue(static_cast<unsigned>(i % 4), 0.0);
-  EXPECT_NEAR(t.now_cmd_bus(), 10 * 1.25, 1e-9);
-}
-
-TEST(ChannelTimer, IssueAllBanksIsBarrier) {
-  ChannelTimer t(4, bus());
-  t.issue(0, 100.0);
-  const double done = t.issue_all_banks(10.0);
-  EXPECT_NEAR(done, 110.0, 1e-9);
-  // Every bank now busy until the barrier op completes.
-  EXPECT_NEAR(t.issue(3, 0.0), 110.0 + 1.25, 1e-9);
+  ChannelTimer t(5, bus());
+  // Even zero-occupancy commands consume bus slots: bank 4 stays idle, so
+  // its earliest start is where the command bus frees up.
+  for (int i = 0; i < 10; ++i)
+    t.issue_after(static_cast<unsigned>(i % 4), 0.0, 0.0);
+  EXPECT_NEAR(t.bank_free_ns(4), 10 * 1.25, 1e-9);
 }
 
 TEST(ChannelTimer, DataBurstUsesChannelBandwidth) {
   ChannelTimer t(8, bus());
   // 128 bytes at 12.8 GB/s = 10 ns after the 20 ns bank op.
-  EXPECT_NEAR(t.issue_data(0, 20.0, 128), 30.0, 1e-9);
+  EXPECT_NEAR(t.issue_data_after(0, 0.0, 20.0, 128), 30.0, 1e-9);
 }
 
 TEST(ChannelTimer, DataBusSerializesTransfers) {
   ChannelTimer t(8, bus());
-  t.issue_data(0, 0.0, 1280);  // 100 ns of data
-  const double done = t.issue_data(1, 0.0, 1280);
+  t.issue_data_after(0, 0.0, 0.0, 1280);  // 100 ns of data
+  const double done = t.issue_data_after(1, 0.0, 0.0, 1280);
   EXPECT_GT(done, 200.0 - 1e-9);
 }
 
@@ -69,12 +62,6 @@ TEST(ChannelTimer, DataAfterHonorsDependencyAndBus) {
   EXPECT_GE(done, 230.0 - 1e-9);
 }
 
-TEST(ChannelTimer, DataAfterZeroReadyEqualsIssueData) {
-  ChannelTimer a(2, bus()), b(2, bus());
-  EXPECT_DOUBLE_EQ(a.issue_data(0, 20.0, 256),
-                   b.issue_data_after(0, 0.0, 20.0, 256));
-}
-
 TEST(ChannelTimer, DependentDataChainIsSerialSum) {
   // compute -> burst -> compute -> burst chained by ready times lands on
   // the exact serial sum (what a batch of one dependent op costs).
@@ -86,75 +73,40 @@ TEST(ChannelTimer, DependentDataChainIsSerialSum) {
   EXPECT_NEAR(d3, 170.0, 1e-9);
 }
 
-TEST(ChannelTimer, TransferOnly) {
-  ChannelTimer t(2, bus());
-  EXPECT_NEAR(t.transfer(12800), 1000.0, 1e-9);
-}
-
 TEST(ChannelTimer, IssueAfterHonorsDependencies) {
   ChannelTimer t(2, bus());
   // Bank free and bus free, but the data dependency isn't ready yet.
   EXPECT_NEAR(t.issue_after(0, 500.0, 10.0), 510.0, 1e-9);
   // Later command to the other bank can still start immediately... no:
   // the command bus slot was consumed at 500; a new issue waits for it.
-  EXPECT_GE(t.issue(1, 1.0), 501.25 - 1e-9);
-}
-
-TEST(ChannelTimer, IssueAfterZeroReadyEqualsIssue) {
-  ChannelTimer a(2, bus()), b(2, bus());
-  EXPECT_DOUBLE_EQ(a.issue(0, 7.0), b.issue_after(0, 0.0, 7.0));
-}
-
-TEST(ChannelTimer, ResetClearsState) {
-  ChannelTimer t(2, bus());
-  t.issue(0, 500.0);
-  t.transfer(12800);  // data bus busy until 1000 ns
-  t.reset();
-  EXPECT_DOUBLE_EQ(t.finish_ns(), 0.0);
-  EXPECT_DOUBLE_EQ(t.issue(0, 5.0), 5.0);
-  // Data bus history gone too: a fresh burst starts immediately after
-  // its bank op.
-  EXPECT_NEAR(t.issue_data(1, 10.0, 128), 1.25 + 10.0 + 10.0, 1e-9);
+  EXPECT_GE(t.issue_after(1, 0.0, 1.0), 501.25 - 1e-9);
 }
 
 TEST(ChannelTimer, Validates) {
   EXPECT_THROW(ChannelTimer(0, bus()), Error);
   ChannelTimer t(2, bus());
-  EXPECT_THROW(t.issue(2, 1.0), Error);
-  EXPECT_THROW(t.issue(0, -1.0), Error);
+  EXPECT_THROW(t.issue_after(2, 0.0, 1.0), Error);
+  EXPECT_THROW(t.issue_after(0, 0.0, -1.0), Error);
+  EXPECT_THROW(t.issue_after(0, -1.0, 1.0), Error);
+  EXPECT_THROW(t.bank_free_ns(2), Error);
 }
 
 TEST(ChannelTimer, BankStaysBusyUntilBurstDrains) {
-  // Regression: issue_data left the bank free at bank-op completion while
-  // the burst was still draining its buffers, so a follow-up command to
-  // the same bank could start mid-burst and clobber the latched data.
+  // Regression: the data issue left the bank free at bank-op completion
+  // while the burst was still draining its buffers, so a follow-up command
+  // to the same bank could start mid-burst and clobber the latched data.
   ChannelTimer t(8, bus());
   // Bank op [0, 10], burst [10, 110] (1280 B at 12.8 GB/s).
-  EXPECT_NEAR(t.issue_data(0, 10.0, 1280), 110.0, 1e-9);
+  EXPECT_NEAR(t.issue_data_after(0, 0.0, 10.0, 1280), 110.0, 1e-9);
   // Other banks are unaffected by the burst...
   EXPECT_NEAR(t.bank_free_ns(1), 1.25, 1e-9);
   // ...but the bursting bank is held until the transfer drains: the next
   // command to it starts at 110, not at bank-op completion (would be 15).
-  EXPECT_NEAR(t.issue(0, 5.0), 115.0, 1e-9);
-}
-
-TEST(ChannelTimer, TransferConsumesCommandSlot) {
-  // Regression: transfer() advanced the data bus without consulting or
-  // occupying the command bus, so buffer reads were free commands.
-  ChannelTimer t(2, bus());
-  t.transfer(128);
-  EXPECT_NEAR(t.now_cmd_bus(), 1.25, 1e-9);
-  // The slot it consumed delays the next command.
-  EXPECT_NEAR(t.issue(0, 0.0), 2.5, 1e-9);
-
-  // And a transfer behind a busy command bus waits for its slot.
-  ChannelTimer u(2, bus());
-  for (int i = 0; i < 8; ++i) u.issue(0, 0.0);  // cmd bus busy until 10 ns
-  EXPECT_NEAR(u.transfer(128), 20.0, 1e-9);     // 10 (slot) + 10 (burst)
+  EXPECT_NEAR(t.issue_after(0, 0.0, 5.0), 115.0, 1e-9);
 }
 
 TEST(ChannelTimer, FinishMonotoneOverRandomSequence) {
-  // Invariant sweep: under any interleaving of the four issue kinds,
+  // Invariant sweep: under any interleaving of plain and bursting issues,
   // finish_ns never moves backwards, every returned completion is within
   // the horizon, and a bursting bank is never reported free mid-burst.
   ChannelTimer t(4, bus());
@@ -166,14 +118,11 @@ TEST(ChannelTimer, FinishMonotoneOverRandomSequence) {
     const double occ = static_cast<double>((state >> 11) % 100);
     const std::uint64_t bytes = (state >> 3) % 2048;
     double done = 0.0;
-    switch ((state >> 61) & 3) {
-      case 0: done = t.issue(bank, occ); break;
-      case 1:
-        done = t.issue_data(bank, occ, bytes);
-        EXPECT_GE(t.bank_free_ns(bank), done - 1e-9);
-        break;
-      case 2: done = t.transfer(bytes); break;
-      default: done = t.issue_all_banks(occ); break;
+    if ((state >> 62) & 1) {
+      done = t.issue_data_after(bank, 0.0, occ, bytes);
+      EXPECT_GE(t.bank_free_ns(bank), done - 1e-9);
+    } else {
+      done = t.issue_after(bank, 0.0, occ);
     }
     EXPECT_LE(done, t.finish_ns() + 1e-9);
     EXPECT_GE(t.finish_ns(), horizon - 1e-9);

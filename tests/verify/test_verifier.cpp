@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "mem/commands.hpp"
+#include "obs/schedule_trace.hpp"
 #include "pinatubo/allocator.hpp"
 #include "pinatubo/cost_model.hpp"
 #include "pinatubo/engine.hpp"
@@ -421,36 +422,52 @@ TEST_F(ScheduleTest, MissingStepTripsH01) {
   EXPECT_TRUE(rep.tripped(Rule::kScheduleShape)) << rep.to_string();
 }
 
-// ---- reconciliation pass ---------------------------------------------------
+// ---- reconciliation --------------------------------------------------------
+
+/// The batch's schedule rendered into a live trace, as `core::run_batch`
+/// does for both front doors.
+obs::TraceSession traced(const std::vector<OpPlan>& plans,
+                         const ExecutionEngine::Result& result) {
+  obs::TraceSession trace(true);
+  obs::render_schedule(trace, plans, result, 0.0);
+  return trace;
+}
 
 TEST_F(ScheduleTest, TamperedClassTimeTripsR01) {
-  ExecutionEngine::Result r = result_;
-  r.profile.time_ns[0] += 3.0;
-  expect_only(verifier_.check(plans_, r), Rule::kClassTimeMismatch);
+  const obs::TraceSession trace = traced(plans_, result_);
+  ASSERT_TRUE(
+      reconcile_trace(trace, result_.profile, result_.cost.time_ns).ok());
+  core::ClassProfile p = result_.profile;
+  p.time_ns[0] += 3.0;
+  expect_only(reconcile_trace(trace, p, result_.cost.time_ns),
+              Rule::kClassTimeMismatch);
 }
 
 TEST_F(ScheduleTest, TamperedClassCountTripsR02) {
-  ExecutionEngine::Result r = result_;
-  ++r.profile.steps[0];
-  expect_only(verifier_.check(plans_, r), Rule::kClassCountMismatch);
-}
-
-TEST_F(ScheduleTest, TamperedEnergyTripsR03) {
-  ExecutionEngine::Result r = result_;
-  r.cost.energy.add(mem::Energy::kBusIo, 10.0);
-  expect_only(verifier_.check(plans_, r), Rule::kEnergyMismatch);
+  const obs::TraceSession trace = traced(plans_, result_);
+  core::ClassProfile p = result_.profile;
+  ++p.steps[0];
+  expect_only(reconcile_trace(trace, p, result_.cost.time_ns),
+              Rule::kClassCountMismatch);
 }
 
 TEST_F(ScheduleTest, TamperedMakespanTripsR04) {
   ExecutionEngine::Result r = result_;
   r.cost.time_ns += 10.0;
   expect_only(verifier_.check(plans_, r), Rule::kMakespanMismatch);
+  // The same rule guards a rendered trace against the accrued makespan.
+  expect_only(reconcile_trace(traced(plans_, result_), result_.profile,
+                              result_.cost.time_ns + 10.0),
+              Rule::kMakespanMismatch);
 }
 
 TEST_F(ScheduleTest, TamperedSerialBaselineTripsR05) {
-  ExecutionEngine::Result r = result_;
+  const ExecutionEngine serial(model_, core::EngineOptions{true});
+  ExecutionEngine::Result r = serial.run(plans_);
+  ASSERT_TRUE(verifier_.check(plans_, r, /*serial=*/true).ok());
   r.serial_time_ns -= 1.0;
-  expect_only(verifier_.check(plans_, r), Rule::kSerialSumMismatch);
+  expect_only(verifier_.check(plans_, r, /*serial=*/true),
+              Rule::kSerialSumMismatch);
 }
 
 // ---- rule catalog ----------------------------------------------------------
