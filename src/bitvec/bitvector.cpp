@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <bit>
+#include <cstddef>
+#include <cstdint>
 
 #include "common/error.hpp"
 
@@ -257,6 +259,32 @@ void copy_bits(std::span<BitVector::Word> dst, std::size_t dst_off,
   PIN_CHECK_MSG(src_off + len <= src.size() * kW,
                 "src range " << src_off << "+" << len << " exceeds "
                              << src.size() * kW << " bits");
+  // Both arrays hold 64-bit words, so a bit's absolute position is its
+  // word's byte address times 8 plus its offset: same-storage ranges
+  // intersect exactly when these intervals do.
+  const auto bit_addr = [](const Word* base, std::size_t off) {
+    return reinterpret_cast<std::uintptr_t>(base) * 8 + off;
+  };
+  const std::uintptr_t d0 = bit_addr(dst.data(), dst_off);
+  const std::uintptr_t s0 = bit_addr(src.data(), src_off);
+  PIN_CHECK_MSG(d0 + len <= s0 || s0 + len <= d0,
+                "overlapping copy: dst bits " << dst_off << "+" << len
+                                              << " intersect src bits "
+                                              << src_off << "+" << len
+                                              << " of the same storage");
+  if (dst_off % kW == 0 && src_off % kW == 0) {
+    // Word-aligned: whole words, then the masked tail word.
+    const std::size_t dw = dst_off / kW, sw = src_off / kW;
+    const std::size_t full = len / kW, tail = len % kW;
+    std::copy_n(src.begin() + static_cast<std::ptrdiff_t>(sw), full,
+                dst.begin() + static_cast<std::ptrdiff_t>(dw));
+    if (tail != 0) {
+      const Word keep = (Word{1} << tail) - 1;
+      Word& d = dst[dw + full];
+      d = (d & ~keep) | (src[sw + full] & keep);
+    }
+    return;
+  }
   // 64 source bits starting at bit p, stitched from up to two words;
   // positions past the array read as zero (masked off by the caller loop).
   auto read64 = [&src](std::size_t p) -> Word {

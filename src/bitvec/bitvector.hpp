@@ -120,9 +120,11 @@ BitVector apply(BitOp op, const BitVector& a, const BitVector& b);
 
 /// Copies `len` bits from `src` starting at bit `src_off` into `dst`
 /// starting at bit `dst_off`, whole words at a time (masked head/tail,
-/// shifted interior).  Ranges must lie inside the word arrays; bits of
-/// `dst` outside [dst_off, dst_off + len) are preserved.  Overlapping
-/// same-array copies are not supported.
+/// shifted interior; a plain word copy plus a masked tail when both
+/// offsets are multiples of 64).  Ranges must lie inside the word arrays;
+/// bits of `dst` outside [dst_off, dst_off + len) are preserved.  Throws
+/// `Error` when `dst` and `src` share storage and the two bit ranges
+/// intersect.
 void copy_bits(std::span<BitVector::Word> dst, std::size_t dst_off,
                std::span<const BitVector::Word> src, std::size_t src_off,
                std::size_t len);

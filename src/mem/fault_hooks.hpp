@@ -8,15 +8,16 @@
 //     stuck-at, endurance wear-out) corrupt the *stored* words in place;
 //   * during every sense     — transient read failures (margin-limited
 //     BER, widened by resistance drift of aged data) flip bits of the
-//     sensed output only, leaving the array contents intact.
+//     sensed output only, leaving the array contents intact.  The memory
+//     makes one `sense_flips` call per sense, over the whole output row.
 //
 // The interface is declared here, inside pin_mem, so the memory does not
 // depend on the reliability library (which depends on pin_mem); the hook
 // pointer is non-owning and null by default.  Implementations must be
 // deterministic pure functions of their seed and the arguments — the
-// memory calls them in program order and `sense_flips` per output word,
-// which keeps the runtime's determinism contract (same seed => identical
-// results for any thread count) intact.
+// memory calls them in program order, once per write or sense, which
+// keeps the runtime's determinism contract (same seed => identical results
+// for any thread count) intact.
 #pragma once
 
 #include <cstdint>
@@ -47,10 +48,12 @@ class FaultHooks {
   virtual double sense_scale(std::uint64_t epoch,
                              std::span<const std::uint64_t> row_ids) = 0;
 
-  /// XOR flip mask applied to output word `word` of the sense at `epoch`.
-  /// Must be a pure function of (implementation seed, epoch, word, scale).
-  virtual BitVector::Word sense_flips(std::uint64_t epoch,
-                                      std::uint64_t word, double scale) = 0;
+  /// XORs the transient flips of the sense at `epoch` into its output,
+  /// once per sense over the whole sensed row (`out[w]` is output word w).
+  /// The flips of word w must be a pure function of (implementation seed,
+  /// epoch, w, scale).  Called only when `sense_scale` returned > 0.
+  virtual void sense_flips(std::uint64_t epoch, double scale,
+                           std::span<BitVector::Word> out) = 0;
 };
 
 }  // namespace pinatubo::mem

@@ -220,17 +220,15 @@ BitVector MainMemory::sense_rows(const std::vector<RowAddr>& rows, BitOp op) {
         /*grain=*/16);
   }
   // BER-driven sense flips (fault model): transient read failures XOR into
-  // the sensed output only; the array contents stay intact.  Applied in a
-  // serial pass — sense_flips is a pure function of (epoch, word), so the
-  // result is identical for any thread count either way.
+  // the sensed output only; the array contents stay intact.  One serial
+  // call per sense — the flips are a pure function of (epoch, word), so
+  // the result is identical for any thread count either way.
   if (hooks_ != nullptr) {
     std::vector<std::uint64_t> ids;
     ids.reserve(rows.size());
     for (const auto& r : rows) ids.push_back(codec_.encode(physical(r)));
     const double scale = hooks_->sense_scale(sense_epoch_, ids);
-    if (scale > 0.0)
-      for (std::size_t w = 0; w < row_words_; ++w)
-        outw[w] ^= hooks_->sense_flips(sense_epoch_, w, scale);
+    if (scale > 0.0) hooks_->sense_flips(sense_epoch_, scale, outw);
   }
   // Restore the trailing-zero invariant (INV, analog lanes and fault flips
   // can set tail bits past the row width).

@@ -93,8 +93,9 @@ class MainMemory {
   // ---- reliability seams ---------------------------------------------------
 
   /// Attaches a fault model (nullptr detaches; non-owning).  While
-  /// attached, writes corrupt stored words through `FaultHooks::on_write`
-  /// and senses XOR `FaultHooks::sense_flips` into their output.
+  /// attached, writes corrupt stored words through `FaultHooks::on_write`,
+  /// and each sense hands its whole output row to one
+  /// `FaultHooks::sense_flips` call, which XORs the flips into it.
   void set_fault_hooks(FaultHooks* hooks) { hooks_ = hooks; }
   FaultHooks* fault_hooks() const { return hooks_; }
 

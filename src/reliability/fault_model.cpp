@@ -13,6 +13,15 @@ namespace {
 constexpr std::uint64_t kStuckSalt = 0x5b8f3a1dc96e7042ull;
 constexpr std::uint64_t kWearSalt = 0x1d6a2f9c84b35e71ull;
 constexpr std::uint64_t kFlipSalt = 0x9c41e87f25d0b3a6ull;
+
+/// The one definition of a sense flip: output word `word` of the sense
+/// whose flip stream is `sense_key` flips one bit with probability `p`.
+inline FaultModel::Word flip_draw(std::uint64_t sense_key, std::uint64_t word,
+                                  double p) {
+  const std::uint64_t base = CounterRng::stream_base(sense_key, word);
+  if (CounterRng::to_unit(CounterRng::draw(base, 0)) >= p) return 0;
+  return FaultModel::Word{1} << (CounterRng::draw(base, 1) & 63);
+}
 }  // namespace
 
 FaultModel::FaultModel(const FaultConfig& cfg)
@@ -38,6 +47,20 @@ std::optional<FaultModel::StuckFault> FaultModel::stuck_fault(
   return f;
 }
 
+const std::vector<FaultModel::CellFault>& FaultModel::stuck_cells(
+    std::uint64_t row_id, std::size_t words) {
+  StuckRow& entry = stuck_rows_[row_id];
+  if (entry.words != words) {
+    entry.words = words;
+    entry.cells.clear();
+    for (std::size_t w = 0; w < words; ++w)
+      if (const auto f = stuck_fault(row_id, w))
+        entry.cells.push_back(
+            {static_cast<std::uint32_t>(w), f->mask, f->stuck_one});
+  }
+  return entry.cells;
+}
+
 void FaultModel::on_write(std::uint64_t row_id, std::uint64_t write_count,
                           std::uint64_t epoch, std::span<Word> row,
                           std::size_t word_lo, std::size_t word_hi) {
@@ -51,7 +74,7 @@ void FaultModel::on_write(std::uint64_t row_id, std::uint64_t write_count,
         CounterRng::stream_base(wear_key_, row_id), write_count);
     if (CounterRng::to_unit(CounterRng::draw(base, 0)) < cfg_.wearout_rate) {
       const std::uint64_t r = CounterRng::draw(base, 1);
-      WearFault f;
+      CellFault f;
       f.word = static_cast<std::uint32_t>(word_lo + r % (word_hi - word_lo));
       f.mask = Word{1} << ((r >> 32) & 63);
       f.stuck_one = ((r >> 38) & 1) != 0;
@@ -62,24 +85,17 @@ void FaultModel::on_write(std::uint64_t row_id, std::uint64_t write_count,
 
   // Persistent faults re-assert over the WHOLE row (idempotent): a stuck
   // cell holds its value no matter which window the write touched.
-  if (cfg_.stuck_rate > 0.0) {
-    for (std::size_t w = 0; w < row.size(); ++w) {
-      const auto f = stuck_fault(row_id, w);
-      if (!f) continue;
-      if (f->stuck_one)
-        row[w] |= f->mask;
-      else
-        row[w] &= ~f->mask;
-    }
-  }
-  if (const auto it = wearout_.find(row_id); it != wearout_.end()) {
-    for (const WearFault& f : it->second) {
+  const auto reassert = [&row](const std::vector<CellFault>& cells) {
+    for (const CellFault& f : cells) {
       if (f.stuck_one)
         row[f.word] |= f.mask;
       else
         row[f.word] &= ~f.mask;
     }
-  }
+  };
+  if (cfg_.stuck_rate > 0.0) reassert(stuck_cells(row_id, row.size()));
+  if (const auto it = wearout_.find(row_id); it != wearout_.end())
+    reassert(it->second);
 
   if (cfg_.drift_rate > 0.0) last_write_epoch_[row_id] = epoch;
 }
@@ -108,16 +124,30 @@ double FaultModel::sense_scale(std::uint64_t epoch,
   return width * (1.0 + cfg_.drift_rate * static_cast<double>(max_age));
 }
 
+double FaultModel::flip_probability(double scale) const {
+  return std::min(1.0, BitVector::kWordBits * cfg_.sense_ber * scale);
+}
+
+void FaultModel::sense_flips(std::uint64_t epoch, double scale,
+                             std::span<Word> out) {
+  const double p = flip_probability(scale);
+  if (p <= 0.0) return;
+  const std::uint64_t key = CounterRng::stream_base(flip_key_, epoch);
+  for (std::size_t w = 0; w < out.size(); ++w) {
+    const Word f = flip_draw(key, w, p);
+    if (f == 0) continue;
+    out[w] ^= f;
+    ++flipped_words_;
+  }
+}
+
 FaultModel::Word FaultModel::sense_flips(std::uint64_t epoch,
                                          std::uint64_t word, double scale) {
-  const double p = std::min(
-      1.0, BitVector::kWordBits * cfg_.sense_ber * scale);
+  const double p = flip_probability(scale);
   if (p <= 0.0) return 0;
-  const std::uint64_t base = CounterRng::stream_base(
-      CounterRng::stream_base(flip_key_, epoch), word);
-  if (CounterRng::to_unit(CounterRng::draw(base, 0)) >= p) return 0;
-  ++flipped_words_;
-  return Word{1} << (CounterRng::draw(base, 1) & 63);
+  const Word f = flip_draw(CounterRng::stream_base(flip_key_, epoch), word, p);
+  if (f != 0) ++flipped_words_;
+  return f;
 }
 
 void FaultModel::reset() {

@@ -7,7 +7,8 @@
 //     64 * stuck_rate (a first-order approximation of per-cell i.i.d.
 //     faults, exact to O(rate^2)).  Applied to the stored words on every
 //     write, idempotently, so a row's corruption never depends on access
-//     order;
+//     order.  The first write of a physical row lists its stuck cells from
+//     the map once; later writes re-assert that list;
 //   * endurance wear-out — once a row's cumulative write count (from the
 //     existing WearTracker ledger) passes `endurance_cycles`, each further
 //     write kills one cell of the written window with probability
@@ -22,7 +23,8 @@
 //     activation runs at n/2 of it — the narrowing-margin story that makes
 //     de-escalation pay off).  Pure function of (seed, sense epoch, word),
 //     so retried senses (new epoch) redraw and any thread count sees
-//     identical flips.
+//     identical flips.  The memory asks for a whole sense's flips in one
+//     call; the per-word `sense_flips` overload draws the same flip.
 //
 // `ber_from_yield` ties `fault.sense_ber` to the circuit layer: the
 // Monte-Carlo yield of `circuit::monte_carlo_yield` measures the fraction
@@ -34,6 +36,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <unordered_map>
 #include <vector>
 
@@ -55,8 +58,12 @@ class FaultModel final : public mem::FaultHooks {
                 std::size_t word_lo, std::size_t word_hi) override;
   double sense_scale(std::uint64_t epoch,
                      std::span<const std::uint64_t> row_ids) override;
-  Word sense_flips(std::uint64_t epoch, std::uint64_t word,
-                   double scale) override;
+  void sense_flips(std::uint64_t epoch, double scale,
+                   std::span<Word> out) override;
+
+  /// The flip mask of output word `word` of the sense at `epoch` — the
+  /// same draw the span hook XORs into that word (and counted the same).
+  Word sense_flips(std::uint64_t epoch, std::uint64_t word, double scale);
 
   // ---- introspection -------------------------------------------------------
   /// The static stuck-at fault of (physical row, word), if any.  Pure —
@@ -77,21 +84,36 @@ class FaultModel final : public mem::FaultHooks {
 
   /// Drops the dynamic state (wear-out faults, data ages, counters).  The
   /// static stuck-at map is a pure function of the seed and survives — the
-  /// same chip, fresh campaign.
+  /// same chip, fresh campaign — and so does its per-row cache.
   void reset();
 
  private:
-  struct WearFault {
+  /// One faulty cell of a row: stuck-at or worn out.
+  struct CellFault {
     std::uint32_t word;
     Word mask;
     bool stuck_one;
   };
+  /// The stuck cells of a `words`-word physical row, in word order, as
+  /// `stuck_fault` defines them.
+  struct StuckRow {
+    std::size_t words = 0;
+    std::vector<CellFault> cells;
+  };
+
+  /// `row_id`'s stuck cells for a row of `words` words, listed from
+  /// `stuck_fault` on first use (and again if `words` changes).
+  const std::vector<CellFault>& stuck_cells(std::uint64_t row_id,
+                                            std::size_t words);
+  /// Per-word flip probability of a sense at BER multiplier `scale`.
+  double flip_probability(double scale) const;
 
   FaultConfig cfg_;
   std::uint64_t stuck_key_;
   std::uint64_t wear_key_;
   std::uint64_t flip_key_;
-  std::unordered_map<std::uint64_t, std::vector<WearFault>> wearout_;
+  std::unordered_map<std::uint64_t, StuckRow> stuck_rows_;
+  std::unordered_map<std::uint64_t, std::vector<CellFault>> wearout_;
   std::unordered_map<std::uint64_t, std::uint64_t> last_write_epoch_;
   std::uint64_t wearout_cells_ = 0;
   std::uint64_t flipped_words_ = 0;

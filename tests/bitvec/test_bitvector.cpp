@@ -232,6 +232,27 @@ TEST(CopyBits, BoundsChecked) {
   EXPECT_NO_THROW(copy_bits(dst.words(), 100, src.words(), 99, 28));
 }
 
+TEST(CopyBits, RejectsOverlappingRanges) {
+  Rng rng(73);
+  auto v = BitVector::random(256, 0.5, rng);
+  const auto orig = v;
+  const auto w = v.words();
+  // Same array, intersecting bit ranges: aligned, shifted, identical.
+  EXPECT_THROW(copy_bits(w, 64, w, 0, 128), Error);
+  EXPECT_THROW(copy_bits(w, 10, w, 0, 11), Error);
+  EXPECT_THROW(copy_bits(w, 5, w, 5, 1), Error);
+  // Different spans over one buffer still share storage.
+  EXPECT_THROW(copy_bits(w.subspan(1), 0, w, 64, 64), Error);
+  EXPECT_EQ(v, orig);  // a rejected copy writes nothing
+  // Disjoint ranges of one array are fine, even inside one word.
+  copy_bits(w, 10, w, 0, 10);
+  copy_bits(w, 128, w, 0, 128);
+  auto expect = orig;
+  for (std::size_t i = 0; i < 10; ++i) expect.set(10 + i, orig.get(i));
+  for (std::size_t i = 0; i < 128; ++i) expect.set(128 + i, expect.get(i));
+  EXPECT_EQ(v, expect);
+}
+
 TEST(BitOpNames, AllNamed) {
   EXPECT_STREQ(to_string(BitOp::kOr), "OR");
   EXPECT_STREQ(to_string(BitOp::kAnd), "AND");

@@ -38,7 +38,8 @@ struct StubHooks final : FaultHooks {
   std::vector<WriteEvent> writes;
   Word corrupt_mask = 0;   ///< OR'd into word 0 of every written row
   Word flip_mask = 0;      ///< XOR'd into word 0 of every sense
-  std::uint64_t senses = 0;
+  std::uint64_t senses = 0;       ///< sense_flips calls
+  std::size_t sensed_words = 0;   ///< output span size of the last call
 
   void on_write(std::uint64_t row_id, std::uint64_t write_count,
                 std::uint64_t epoch, std::span<Word> row,
@@ -49,9 +50,10 @@ struct StubHooks final : FaultHooks {
   double sense_scale(std::uint64_t, std::span<const std::uint64_t>) override {
     return 1.0;
   }
-  Word sense_flips(std::uint64_t, std::uint64_t word, double) override {
+  void sense_flips(std::uint64_t, double, std::span<Word> out) override {
     ++senses;
-    return word == 0 ? flip_mask : 0;
+    sensed_words = out.size();
+    if (!out.empty()) out[0] ^= flip_mask;
   }
 };
 
@@ -100,7 +102,9 @@ TEST_F(FaultHooksTest, SenseFlipsHitTheOutputNotTheArray) {
   auto expect = a | b;
   expect.set(5, !expect.get(5));  // word 0, bit 5 flipped
   EXPECT_EQ(sensed, expect);
-  EXPECT_GT(hooks_.senses, 0u);
+  // One flip call per sense, over the whole output row.
+  EXPECT_EQ(hooks_.senses, 1u);
+  EXPECT_EQ(hooks_.sensed_words, sensed.word_count());
   // The stored rows are untouched: a clean hook re-senses exactly.
   hooks_.flip_mask = 0;
   EXPECT_EQ(mem_.sense_rows({r0, r1}, BitOp::kOr), (a | b));

@@ -8,8 +8,11 @@
 #include <gtest/gtest.h>
 
 #include <bit>
+#include <map>
 #include <span>
 #include <vector>
+
+#include "common/random.hpp"
 
 namespace pinatubo::reliability {
 namespace {
@@ -164,6 +167,112 @@ TEST(FaultModel, SenseFlipsArePureInEpochAndWord) {
   for (std::uint64_t w = 0; w < 256 && !redraw; ++w)
     redraw = m1.sense_flips(100, w, 1.0) != m1.sense_flips(101, w, 1.0);
   EXPECT_TRUE(redraw);
+}
+
+TEST(FaultModel, SpanFlipsMatchPerWord) {
+  FaultConfig c;
+  c.enabled = true;
+  c.seed = 13;
+  c.sense_ber = 1e-3;  // p(word) = 0.064 * scale; clamps to 1 past 15.625
+  FaultModel span_model(c), word_model(c);
+  Rng rng(14);
+  std::size_t all_flipped = 0;
+  for (const std::size_t len : {1u, 63u, 1024u}) {
+    for (const double scale : {0.0, 1.0, 3.5, 100.0, rng.uniform(0.1, 8.0)}) {
+      const std::uint64_t epoch = rng.next();
+      std::vector<Word> out(len);
+      for (Word& w : out) w = rng.next();
+      std::vector<Word> expect = out;
+      for (std::size_t w = 0; w < len; ++w)
+        expect[w] ^= word_model.sense_flips(epoch, w, scale);
+      const std::uint64_t before = span_model.flipped_words();
+      span_model.sense_flips(epoch, scale, out);
+      EXPECT_EQ(out, expect) << "len=" << len << " scale=" << scale;
+      EXPECT_EQ(span_model.flipped_words(), word_model.flipped_words());
+      if (scale == 0.0) {
+        EXPECT_EQ(span_model.flipped_words(), before);
+      }
+      if (scale == 100.0) {  // p clamped to 1: every word flips
+        EXPECT_EQ(span_model.flipped_words() - before, len);
+        all_flipped += len;
+      }
+    }
+  }
+  EXPECT_EQ(all_flipped, 1088u);
+}
+
+TEST(FaultModel, StuckCacheMatchesPureMap) {
+  FaultConfig c = stuck_cfg(1e-2, 17);  // p(word) = 0.64
+  c.endurance_cycles = 3;
+  c.wearout_rate = 0.5;
+  FaultModel m(c);
+  // The same seed without a stuck map draws the same wear-out faults.
+  FaultConfig wc = c;
+  wc.stuck_rate = 0.0;
+  FaultModel wear_only(wc);
+
+  constexpr std::size_t kWords = 1024;
+  std::map<std::uint64_t, std::vector<Word>> stored, ref;
+  std::map<std::uint64_t, std::uint64_t> writes;
+  Rng rng(18);
+  std::uint64_t epoch = 0;
+  // One write of random data over [lo, hi) of physical row `row`: `m`
+  // corrupts the stored image through its cache, the reference applies
+  // `stuck_fault` to every word of the row and then the wear-out faults.
+  const auto write = [&](std::uint64_t row, std::size_t lo, std::size_t hi) {
+    auto& s = stored.try_emplace(row, kWords, Word{0}).first->second;
+    auto& r = ref.try_emplace(row, kWords, Word{0}).first->second;
+    for (std::size_t w = lo; w < hi; ++w) s[w] = r[w] = rng.next();
+    const std::uint64_t wc_now = ++writes[row];
+    ++epoch;
+    m.on_write(row, wc_now, epoch, s, lo, hi);
+    for (std::uint64_t w = 0; w < kWords; ++w) {
+      if (const auto f = m.stuck_fault(row, w)) {
+        if (f->stuck_one)
+          r[w] |= f->mask;
+        else
+          r[w] &= ~f->mask;
+      }
+    }
+    wear_only.on_write(row, wc_now, epoch, r, lo, hi);
+    EXPECT_EQ(s, r) << "row " << row << " window [" << lo << ", " << hi
+                    << ") write " << wc_now;
+  };
+  const auto campaign = [&](std::uint64_t row, std::uint64_t spare) {
+    write(row, 0, kWords);
+    write(row, 0, 1);
+    write(row, 100, 356);
+    write(row, kWords - 1, kWords);
+    write(row, 512, 512);  // empty window: re-asserts only
+    write(row, 0, kWords);
+    // The row's data moves to a spare: a fresh physical row, its own map.
+    write(spare, 0, kWords);
+    write(spare, 7, 900);
+  };
+  campaign(5, 77);
+  campaign(9, 78);
+  ASSERT_GT(m.wearout_cells(), 0u);
+  EXPECT_EQ(m.wearout_cells(), wear_only.wearout_cells());
+
+  // A new campaign on the same chip: the dynamic state and the memory
+  // image are gone, the stuck cells (and their cache) are not.
+  m.reset();
+  wear_only.reset();
+  stored.clear();
+  ref.clear();
+  writes.clear();
+  campaign(9, 5);
+  campaign(78, 79);
+
+  // The rows cover both edge words of the map, so a cache that drops the
+  // first or last word of a row is caught above.
+  bool first = false, last = false;
+  for (const std::uint64_t row : {5u, 9u, 77u, 78u, 79u}) {
+    first |= m.stuck_fault(row, 0).has_value();
+    last |= m.stuck_fault(row, kWords - 1).has_value();
+  }
+  EXPECT_TRUE(first);
+  EXPECT_TRUE(last);
 }
 
 TEST(FaultModel, ResetDropsDynamicStateKeepsTheChip) {
