@@ -1,6 +1,7 @@
 #include "pinatubo/driver.hpp"
 
 #include <algorithm>
+#include <optional>
 
 #include "common/error.hpp"
 
@@ -26,6 +27,28 @@ PlanStep with_reads(PlanStep st, std::vector<mem::RowAddr> reads) {
   st.read_cols.assign(reads.size(), st.col_start);
   st.reads = std::move(reads);
   return st;
+}
+
+/// Calls `chunk(bank, row_bit, vector_bit, len)` for each bank-share run of
+/// group `grp`'s bits in `p`, in vector order.  Each run maps to one
+/// contiguous bit range of one bank's row, so scatter and gather move whole
+/// runs with copy_bits instead of walking bits.
+template <typename Chunk>
+void for_each_chunk(const mem::Geometry& g, const Placement& p,
+                    std::uint64_t grp, Chunk&& chunk) {
+  const std::uint64_t step = g.sense_step_bits();
+  const std::uint64_t bank_share = step / g.banks_per_chip;
+  const std::uint64_t base = grp * p.stripes * step;
+  const std::uint64_t count = std::min<std::uint64_t>(
+      p.stripes * step, p.bits > base ? p.bits - base : 0);
+  for (std::uint64_t q = 0; q < count;) {
+    const std::uint64_t within = q % step;
+    const std::uint64_t in_share = within % bank_share;
+    const std::uint64_t len = std::min(bank_share - in_share, count - q);
+    chunk(static_cast<unsigned>(within / bank_share),
+          (p.col_stripe + q / step) * bank_share + in_share, base + q, len);
+    q += len;
+  }
 }
 
 }  // namespace
@@ -79,52 +102,27 @@ const Placement& PimRuntime::placement(Handle h) const {
 }
 
 void PimRuntime::scatter(const Placement& p, const BitVector& v) {
-  // Each bank_share-long run of vector bits maps to a contiguous bit range
-  // of one bank row, so scatter/gather move whole chunks with
-  // copy_bits instead of walking bits.  Scatter stays read-modify-write +
-  // one write_row per touched bank so the wear ledger sees exactly one
-  // full-row write per physical row activation, as before.
+  // Read-modify-write + one write per touched bank, so the wear ledger sees
+  // exactly one full-row write per physical row activation.
   const auto& g = mem_.geometry();
-  const std::uint64_t step = g.sense_step_bits();
-  const std::uint64_t bank_share = step / g.banks_per_chip;
-  const std::uint64_t group_bits = static_cast<std::uint64_t>(p.stripes) * step;
   for (std::uint64_t grp = 0; grp < p.groups; ++grp) {
-    std::vector<BitVector> bank_rows;
-    std::vector<bool> touched(g.banks_per_chip, false);
-    bank_rows.reserve(g.banks_per_chip);
     const unsigned rk = p.group_rank(grp, g.ranks_per_channel);
     const unsigned row = p.group_row(grp, g.ranks_per_channel);
-    for (unsigned b = 0; b < g.banks_per_chip; ++b) {
-      mem::RowAddr a{p.channel, rk, b, p.subarray, row};
-      bank_rows.push_back(mem_.read_row(a));
-    }
-    const std::uint64_t base = grp * group_bits;
-    const std::uint64_t count = std::min<std::uint64_t>(
-        group_bits, v.size() > base ? v.size() - base : 0);
-    for (std::uint64_t q = 0; q < count;) {
-      const std::uint64_t within = q % step;
-      const auto b = static_cast<unsigned>(within / bank_share);
-      const std::uint64_t in_share = within % bank_share;
-      const std::uint64_t len = std::min(bank_share - in_share, count - q);
-      const std::size_t bit =
-          (p.col_stripe + q / step) * bank_share + in_share;
-      copy_bits(bank_rows[b].words(), bit, v.words(), base + q, len);
-      touched[b] = true;
-      q += len;
-    }
-    for (unsigned b = 0; b < g.banks_per_chip; ++b) {
-      if (!touched[b]) continue;
-      mem::RowAddr a{p.channel, rk, b, p.subarray, row};
-      store_row(a, bank_rows[b]);
-    }
+    std::vector<BitVector> bank_rows;
+    bank_rows.reserve(g.banks_per_chip);
+    for (unsigned b = 0; b < g.banks_per_chip; ++b)
+      bank_rows.push_back(mem_.read_row({p.channel, rk, b, p.subarray, row}));
+    std::vector<bool> touched(g.banks_per_chip, false);
+    for_each_chunk(g, p, grp,
+                   [&](unsigned b, std::size_t bit, std::uint64_t at,
+                       std::uint64_t len) {
+                     copy_bits(bank_rows[b].words(), bit, v.words(), at, len);
+                     touched[b] = true;
+                   });
+    for (unsigned b = 0; b < g.banks_per_chip; ++b)
+      if (touched[b])
+        store_window({p.channel, rk, b, p.subarray, row}, 0, bank_rows[b]);
   }
-}
-
-void PimRuntime::store_row(const mem::RowAddr& addr, const BitVector& data) {
-  if (relmgr_)
-    relmgr_->write(addr, 0, data);
-  else
-    mem_.write_row(addr, data);
 }
 
 void PimRuntime::store_window(const mem::RowAddr& addr, std::size_t bit_offset,
@@ -136,29 +134,19 @@ void PimRuntime::store_window(const mem::RowAddr& addr, std::size_t bit_offset,
 }
 
 BitVector PimRuntime::gather(const Placement& p) const {
+  // Chunk-wise zero-copy reads straight from the row arenas.
   const auto& g = mem_.geometry();
-  const std::uint64_t step = g.sense_step_bits();
-  const std::uint64_t bank_share = step / g.banks_per_chip;
-  const std::uint64_t group_bits = static_cast<std::uint64_t>(p.stripes) * step;
   BitVector v(p.bits);
   for (std::uint64_t grp = 0; grp < p.groups; ++grp) {
     const unsigned rk = p.group_rank(grp, g.ranks_per_channel);
     const unsigned row = p.group_row(grp, g.ranks_per_channel);
-    const std::uint64_t base = grp * group_bits;
-    const std::uint64_t count = std::min<std::uint64_t>(
-        group_bits, v.size() > base ? v.size() - base : 0);
-    // Chunk-wise zero-copy reads straight from the row arenas.
-    for (std::uint64_t q = 0; q < count;) {
-      const std::uint64_t within = q % step;
-      const auto b = static_cast<unsigned>(within / bank_share);
-      const std::uint64_t in_share = within % bank_share;
-      const std::uint64_t len = std::min(bank_share - in_share, count - q);
-      const std::size_t bit =
-          (p.col_stripe + q / step) * bank_share + in_share;
-      mem::RowAddr a{p.channel, rk, b, p.subarray, row};
-      copy_bits(v.words(), base + q, mem_.row_view(a), bit, len);
-      q += len;
-    }
+    for_each_chunk(g, p, grp,
+                   [&](unsigned b, std::size_t bit, std::uint64_t at,
+                       std::uint64_t len) {
+                     copy_bits(v.words(), at,
+                               mem_.row_view({p.channel, rk, b, p.subarray, row}),
+                               bit, len);
+                   });
   }
   return v;
 }
@@ -174,47 +162,8 @@ void PimRuntime::pim_write(Handle h, const BitVector& data) {
 
 BitVector PimRuntime::pim_read(Handle h) const { return gather(placement(h)); }
 
-void PimRuntime::execute_intra(const OpPlan& plan, const Placement& dst) {
-  const auto& g = mem_.geometry();
-  const std::uint64_t bank_share = g.sense_step_bits() / g.banks_per_chip;
-  const std::size_t win_lo = dst.col_stripe * bank_share;
-  const std::size_t win_len = dst.stripes * bank_share;
-  // The plan's intra steps lead it, group by group.  Each group senses
-  // bank by bank, each bank running the group's whole activation chain:
-  // the sense epochs (and with them the analog and fault draws) follow
-  // group -> bank -> step order.
-  const std::vector<PlanStep>& steps = plan.steps;
-  auto intra = [&](std::size_t i) {
-    return i < steps.size() && steps[i].kind == StepKind::kIntraSub;
-  };
-  for (std::size_t first = 0, end = 0; intra(first); first = end) {
-    end = first + 1;
-    while (intra(end) && steps[end].group == steps[first].group) ++end;
-    for (unsigned b = 0; b < g.banks_per_chip; ++b) {
-      for (std::size_t i = first; i < end; ++i) {
-        const PlanStep& st = steps[i];
-        BitVector window(win_len);
-        copy_bits(window.words(), 0,
-                  mem_.sense_rows(in_bank(st.reads, b), st.op).words(),
-                  win_lo, win_len);
-        mem_.write_row_partial(in_bank(st.write, b), win_lo, window);
-      }
-    }
-  }
-}
-
-bool PimRuntime::execute_intra_reliable(const OpPlan& plan,
-                                        const Placement& dst,
-                                        OpPlan& executed) {
-  for (const PlanStep& st : plan.steps)
-    if (st.kind == StepKind::kIntraSub &&
-        !reliable_activation(st, dst, executed))
-      return false;
-  return true;
-}
-
-bool PimRuntime::reliable_activation(const PlanStep& step,
-                                     const Placement& dst, OpPlan& executed) {
+bool PimRuntime::activate(const PlanStep& step, const Placement& dst,
+                          OpPlan& executed) {
   using reliability::SenseVerify;
   using reliability::WriteVerify;
   const auto& g = mem_.geometry();
@@ -241,7 +190,9 @@ bool PimRuntime::reliable_activation(const PlanStep& step,
 
   for (unsigned attempt = 0; attempt <= rel.retry.max_resense; ++attempt) {
     if (attempt > 0) ++relmgr_->counters().retries;
-    // Sense every bank of the lock-step cluster; verify per the policy.
+    // Sense every bank of the lock-step cluster; verify per the policy
+    // (never without a recovery manager: its verify modes are what attach
+    // one, so that walk is a single attempt).
     std::vector<BitVector> sensed(g.banks_per_chip);
     unsigned bad = 0;
     for (unsigned b = 0; b < g.banks_per_chip; ++b) {
@@ -266,10 +217,13 @@ bool PimRuntime::reliable_activation(const PlanStep& step,
     // Price what actually happened.  Failed attempts keep their activation
     // cost but skip the writeback; double-sensing adds a shadow activation;
     // read-back verification is a digital fold at the global row buffer.
+    // Without a recovery manager the scheduler's plan is priced as written.
     if (rel.verify.sense == SenseVerify::kDouble)
       executed.steps.push_back(
           priced(step, StepKind::kIntraSub, k, false, attempt));
-    executed.steps.push_back(priced(step, StepKind::kIntraSub, k, ok, attempt));
+    if (relmgr_)
+      executed.steps.push_back(
+          priced(step, StepKind::kIntraSub, k, ok, attempt));
     if (rel.verify.sense == SenseVerify::kReadback) {
       const unsigned vsteps = k > 1 ? k - 1 : 1;
       for (unsigned i = 0; i < vsteps; ++i) {
@@ -292,11 +246,15 @@ bool PimRuntime::reliable_activation(const PlanStep& step,
       continue;  // re-sense: a new epoch redraws the transient flips
     }
 
-    // Commit through the verified write path (detects persistent faults in
-    // the destination row and remaps them while the true result is known).
-    const std::uint64_t remaps_before = relmgr_->counters().remaps;
+    // The SA results go to the write drivers once the whole cluster has
+    // sensed.  Commit through the verified write path when there is one
+    // (detects persistent faults in the destination row and remaps them
+    // while the true result is known).
+    const std::uint64_t remaps_before =
+        relmgr_ ? relmgr_->counters().remaps : 0;
     for (unsigned b = 0; b < g.banks_per_chip; ++b)
       store_window(in_bank(step.write, b), win_lo, sensed[b]);
+    if (!relmgr_) return true;
     if (rel.verify.writes != WriteVerify::kNone) {
       PlanStep wv = priced(
           on_write(), StepKind::kInterSub,
@@ -310,9 +268,12 @@ bool PimRuntime::reliable_activation(const PlanStep& step,
       executed.steps.push_back(std::move(wv));
     }
     // Each remap rewrote (and re-verified) a full rank-row in every bank.
+    // The rewrite is a row copy, priced as `pim_copy` prices one: a 1-row
+    // INV activation feeding the write drivers (a 1-row OR is no CSA shape).
     for (std::uint64_t i = remaps_before; i < relmgr_->counters().remaps;
          ++i) {
       PlanStep rm = priced(on_write(), StepKind::kIntraSub, 1, true, attempt);
+      rm.op = BitOp::kInv;
       rm.col_steps = g.sa_mux_share;
       rm.bits = g.row_group_bits();
       // The remap rewrites the full rank-row, not dst's column stripe: the
@@ -332,13 +293,11 @@ bool PimRuntime::reliable_activation(const PlanStep& step,
     ++relmgr_->counters().deescalations;
     const unsigned h = (k + 1) / 2;
     const auto mid = step.reads.begin() + h;
-    if (!reliable_activation(
-            with_reads(step, {step.reads.begin(), mid}), dst, executed))
+    if (!activate(with_reads(step, {step.reads.begin(), mid}), dst, executed))
       return false;
     std::vector<mem::RowAddr> rest{step.write};  // holds the first half
     rest.insert(rest.end(), mid, step.reads.end());
-    return reliable_activation(with_reads(step, std::move(rest)), dst,
-                               executed);
+    return activate(with_reads(step, std::move(rest)), dst, executed);
   }
   return false;
 }
@@ -410,78 +369,69 @@ void PimRuntime::pim_op(BitOp op, const std::vector<Handle>& srcs, Handle dst,
 
   OpPlan plan = sched_.plan(op, src_p, dst_p, host_reads_result);
   const bool intra = plan.count(StepKind::kIntraSub) > 0;
+  const bool ladder = intra && relmgr_;
   const reliability::Counters before = rel_counters();
 
-  if (intra && relmgr_) {
-    // Analog path under the recovery ladder.  Snapshot dst-aliasing
-    // operands first: a partially-executed chain overwrites dst, and the
-    // CPU fallback must still see the original operand values.
-    std::vector<std::optional<BitVector>> snapshots(src_p.size());
-    if (opts_.reliability.retry.cpu_fallback) {
-      for (std::size_t i = 0; i < src_p.size(); ++i)
-        if (src_p[i].rows_overlap(dst_p)) snapshots[i] = gather(src_p[i]);
+  // A plan that runs as written is admitted first, so one the verifier
+  // rejects leaves memory untouched, and executed before it is enqueued, so
+  // pricing takes it by move; under the ladder, the executed plan is
+  // admitted as it is submitted.  Functional execution is eager even inside
+  // a batch: program order keeps interleaved pim_write / pim_read
+  // semantics; only pricing defers.
+  if (!ladder) admit(plan);
+  // Under the ladder, snapshot dst-aliasing operands first: a partially
+  // executed chain overwrites dst, and the CPU fallback must still see the
+  // original operand values.
+  std::vector<std::optional<BitVector>> operands(src_p.size());
+  if (ladder && opts_.reliability.retry.cpu_fallback) {
+    for (std::size_t i = 0; i < src_p.size(); ++i)
+      if (src_p[i].rows_overlap(dst_p)) operands[i] = gather(src_p[i]);
+  }
+  OpPlan executed;  // the ladder's steps, failed attempts included
+  executed.op = op;
+  executed.bits = dst_p.bits;
+  bool ok = true;
+  for (const PlanStep& st : plan.steps)
+    if (st.kind == StepKind::kIntraSub && !(ok = activate(st, dst_p, executed)))
+      break;
+
+  PIN_CHECK_MSG(ok || opts_.reliability.retry.cpu_fallback,
+                "recovery ladder exhausted for "
+                    << to_string(op) << " and retry.cpu_fallback is disabled");
+  if (!intra || !ok) {
+    // Exact digital logic: the buffer paths (the scatter may detect write
+    // faults), or the CPU fallback, recomputing from the stored operands
+    // (clean — persistent faults were healed at write time) or the pre-op
+    // snapshot when the operand aliased dst.
+    std::vector<const BitVector*> ptrs;
+    for (std::size_t i = 0; i < src_p.size(); ++i) {
+      if (!operands[i]) operands[i] = gather(src_p[i]);
+      ptrs.push_back(&*operands[i]);
     }
-    OpPlan executed;
-    executed.op = op;
-    executed.bits = dst_p.bits;
-    const bool ok = execute_intra_reliable(plan, dst_p, executed);
-    if (ok) {
-      // Reuse the scheduler's host-read tail on the executed plan.
-      for (auto& st : plan.steps)
-        if (st.kind == StepKind::kHostRead)
-          executed.steps.push_back(std::move(st));
-      submit(std::move(executed));
-    } else {
-      PIN_CHECK_MSG(opts_.reliability.retry.cpu_fallback,
-                    "recovery ladder exhausted for "
-                        << to_string(op)
-                        << " and retry.cpu_fallback is disabled");
-      submit(std::move(executed));  // the failed attempts still cost time
-      fallback_op(op, src_p, dst_p, snapshots, srcs, dst, host_reads_result);
-    }
-  } else {
-    // Admitted first, so a plan the verifier rejects leaves memory
-    // untouched; executed before it is enqueued, so pricing takes the plan
-    // by move.  Functional execution is eager even inside a batch: program
-    // order keeps interleaved pim_write / pim_read semantics; only pricing
-    // defers.
-    admit(plan);
-    if (intra) {
-      execute_intra(plan, dst_p);
-    } else {
-      // Buffer paths compute exactly in digital logic (the scatter may
-      // detect write faults).
-      std::vector<BitVector> operands;
-      operands.reserve(src_p.size());
-      for (const auto& p : src_p) operands.push_back(gather(p));
-      std::vector<const BitVector*> ptrs;
-      for (const auto& v : operands) ptrs.push_back(&v);
-      scatter(dst_p, BitVector::reduce(op, ptrs));
-    }
+    scatter(dst_p, BitVector::reduce(op, ptrs));
+  }
+
+  if (!ladder) {
     enqueue(std::move(plan));
+  } else if (ok) {
+    // Reuse the scheduler's host-read tail on the executed plan.
+    for (auto& st : plan.steps)
+      if (st.kind == StepKind::kHostRead)
+        executed.steps.push_back(std::move(st));
+    submit(std::move(executed));
+  } else {
+    submit(std::move(executed));  // the failed attempts still cost time
+    price_fallback(op, srcs, dst, dst_p.bits, host_reads_result);
   }
   trace_reliability(before);
 }
 
-void PimRuntime::fallback_op(BitOp op, const std::vector<Placement>& src_p,
-                             const Placement& dst_p,
-                             const std::vector<std::optional<BitVector>>& snapshots,
-                             const std::vector<Handle>& srcs, Handle dst,
-                             bool host_reads_result) {
-  // Functional: recompute from the stored operands (clean — persistent
-  // faults were healed at write time), or the pre-op snapshot when the
-  // operand aliased dst.  The result is exact by construction.
-  std::vector<BitVector> operands;
-  operands.reserve(src_p.size());
-  for (std::size_t i = 0; i < src_p.size(); ++i)
-    operands.push_back(snapshots[i] ? *snapshots[i] : gather(src_p[i]));
-  std::vector<const BitVector*> ptrs;
-  for (const auto& v : operands) ptrs.push_back(&v);
-  scatter(dst_p, BitVector::reduce(op, ptrs));
-
-  // Costed: the whole op runs as a CPU bulk kernel streaming from PCM
-  // (operand reads + result write included — no extra host-read steps, or
-  // the transfer would be double-counted).
+void PimRuntime::price_fallback(BitOp op, const std::vector<Handle>& srcs,
+                                Handle dst, std::uint64_t bits,
+                                bool host_reads_result) {
+  // The whole op runs as a CPU bulk kernel streaming from PCM (operand
+  // reads + result write included — no extra host-read steps, or the
+  // transfer would be double-counted).
   if (!cpu_)
     cpu_ = std::make_unique<sim::SimdCpuModel>(sim::CpuConfig{},
                                                sim::MemKind::kPcm);
@@ -489,7 +439,7 @@ void PimRuntime::fallback_op(BitOp op, const std::vector<Placement>& src_p,
   top.op = op;
   top.srcs = srcs;
   top.dst = dst;
-  top.bits = dst_p.bits;
+  top.bits = bits;
   top.host_reads_result = host_reads_result;
   const mem::Cost c = cpu_->bulk_op(top);
   ++relmgr_->counters().fallbacks;
@@ -554,12 +504,6 @@ void PimRuntime::pim_copy(Handle src, Handle dst) {
   const reliability::Counters before = rel_counters();
   scatter(dst_p, gather(src_p));
   trace_reliability(before);
-}
-
-void PimRuntime::pim_op_batch(const std::vector<BatchOp>& ops) {
-  pim_begin();
-  for (const auto& o : ops) pim_op(o.op, o.srcs, o.dst, false);
-  pim_barrier();
 }
 
 void PimRuntime::reset_cost() {

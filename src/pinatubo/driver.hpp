@@ -23,7 +23,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <unordered_map>
 #include <vector>
 
@@ -122,16 +121,6 @@ class PimRuntime {
   /// Whether a pim_begin() window is currently open.
   bool in_batch() const { return in_batch_; }
 
-  /// Convenience batched submission: equivalent to pim_begin(), the ops
-  /// in order, pim_barrier().  Functionally identical to issuing the ops
-  /// synchronously.
-  struct BatchOp {
-    BitOp op;
-    std::vector<Handle> srcs;
-    Handle dst;
-  };
-  void pim_op_batch(const std::vector<BatchOp>& ops);
-
   const Placement& placement(Handle h) const;
   std::uint64_t vector_bits(Handle h) const { return placement(h).bits; }
 
@@ -179,34 +168,26 @@ class PimRuntime {
   void scatter(const Placement& p, const BitVector& v);
   /// Gathers the logical vector back out of the rows.
   BitVector gather(const Placement& p) const;
-  /// Executes `plan`'s intra-subarray steps as written — the plan pim_op
-  /// submits, so the chain is never re-derived here: each activation
-  /// senses its `reads` in every bank and writes dst's column window.
-  void execute_intra(const OpPlan& plan, const Placement& dst);
-  /// Routes a write through the recovery manager when one is attached
-  /// (verify-after-write + remap); plain store otherwise.
-  void store_row(const mem::RowAddr& addr, const BitVector& data);
+  /// Every row write: through the recovery manager when one is attached
+  /// (verify-after-write + remap), a plain partial write otherwise.
   void store_window(const mem::RowAddr& addr, std::size_t bit_offset,
                     const BitVector& data);
-  /// Reliable variant of execute_intra: walks the same plan steps, each
-  /// activation under the verify/retry/de-escalate ladder, and appends the
-  /// steps it actually took (failed attempts included) to `executed`.
+  /// The one intra-step walker: a plan step's activation, sensed in every
+  /// bank of the lock-step cluster and then written back to dst's column
+  /// window.  Without a recovery manager that is the whole of it, one
+  /// attempt priced as the scheduler's plan.  With one, the activation
+  /// runs under the verify/retry/de-escalate ladder and appends the steps
+  /// it actually took (failed attempts, verify and remap steps included)
+  /// to `executed`; every one is a copy of `step` with only the kind, rows,
+  /// writeback, attempt and reads changed (plus the verify/remap shapes),
+  /// and de-escalation splits `step.reads`, with `step.write` accumulating.
   /// Returns false when the ladder is exhausted and the op must fall back
   /// to the CPU.
-  bool execute_intra_reliable(const OpPlan& plan, const Placement& dst,
-                              OpPlan& executed);
-  /// One plan step's activation (all banks, lock-step) under the ladder.
-  /// Every step it prices is a copy of `step` with only the kind, rows,
-  /// writeback, attempt and reads changed (plus the verify/remap shapes);
-  /// de-escalation splits `step.reads`, with `step.write` accumulating.
-  bool reliable_activation(const PlanStep& step, const Placement& dst,
-                           OpPlan& executed);
-  /// Final rung: compute the op on the (priced) CPU path, never wrong.
-  void fallback_op(BitOp op, const std::vector<Placement>& src_p,
-                   const Placement& dst_p,
-                   const std::vector<std::optional<BitVector>>& snapshots,
-                   const std::vector<Handle>& srcs, Handle dst,
-                   bool host_reads_result);
+  bool activate(const PlanStep& step, const Placement& dst, OpPlan& executed);
+  /// Final rung's cost: the op priced as a CPU bulk kernel (pim_op computes
+  /// its exact result).
+  void price_fallback(BitOp op, const std::vector<Handle>& srcs, Handle dst,
+                      std::uint64_t bits, bool host_reads_result);
   /// The recovery manager's counters (zero without one).
   reliability::Counters rel_counters() const;
   /// Emits the reliability counters moved since `before` as `pim.*`

@@ -53,11 +53,11 @@ TEST_F(DriverExtTest, BatchMatchesSequential) {
     rt_.pim_write(h.back(), vals.back());
   }
   // Two independent ops + one dependent.
-  std::vector<PimRuntime::BatchOp> batch;
-  batch.push_back({BitOp::kOr, {h[0], h[1]}, h[2]});
-  batch.push_back({BitOp::kAnd, {h[3], h[4]}, h[5]});
-  batch.push_back({BitOp::kXor, {h[2], h[5]}, h[6]});
-  rt_.pim_op_batch(batch);
+  rt_.pim_begin();
+  rt_.pim_op(BitOp::kOr, {h[0], h[1]}, h[2]);
+  rt_.pim_op(BitOp::kAnd, {h[3], h[4]}, h[5]);
+  rt_.pim_op(BitOp::kXor, {h[2], h[5]}, h[6]);
+  rt_.pim_barrier();
 
   const auto r_or = vals[0] | vals[1];
   const auto r_and = vals[3] & vals[4];
@@ -69,7 +69,6 @@ TEST_F(DriverExtTest, BatchMatchesSequential) {
 
 TEST_F(DriverExtTest, BatchNeverCostsMoreThanSequential) {
   const std::uint64_t bits = 1ull << 14;
-  std::vector<PimRuntime::BatchOp> batch;
   PimRuntime seq;
   std::vector<PimRuntime::Handle> hb, hs;
   Rng rng(9);
@@ -80,11 +79,12 @@ TEST_F(DriverExtTest, BatchNeverCostsMoreThanSequential) {
     rt_.pim_write(hb.back(), v);
     seq.pim_write(hs.back(), v);
   }
+  rt_.pim_begin();
   for (int i = 0; i + 2 < 12; i += 3) {
-    batch.push_back({BitOp::kOr, {hb[i], hb[i + 1]}, hb[i + 2]});
+    rt_.pim_op(BitOp::kOr, {hb[i], hb[i + 1]}, hb[i + 2]);
     seq.pim_op(BitOp::kOr, {hs[i], hs[i + 1]}, hs[i + 2]);
   }
-  rt_.pim_op_batch(batch);
+  rt_.pim_barrier();
   EXPECT_LE(rt_.cost().time_ns, seq.cost().time_ns + 1e-9);
   // Same functional results.
   for (int i = 0; i < 12; ++i)
@@ -101,7 +101,9 @@ TEST_F(DriverExtTest, BatchRecordsCommands) {
   const auto a = rt.pim_malloc(512);
   const auto b = rt.pim_malloc(512);
   const auto c = rt.pim_malloc(512);
-  rt.pim_op_batch({{BitOp::kOr, {a, b}, c}});
+  rt.pim_begin();
+  rt.pim_op(BitOp::kOr, {a, b}, c);
+  rt.pim_barrier();
   EXPECT_FALSE(rt.commands().empty());
 }
 
@@ -150,7 +152,12 @@ TEST_F(DriverExtTest, BatchedAndSyncBitIdentical) {
     rt_.pim_write(hb.back(), v);
     sync.pim_write(hs.back(), v);
   }
-  const std::vector<PimRuntime::BatchOp> prog = {
+  struct Op {
+    BitOp op;
+    std::vector<PimRuntime::Handle> srcs;
+    PimRuntime::Handle dst;
+  };
+  const std::vector<Op> prog = {
       {BitOp::kOr, {hb[0], hb[1]}, hb[2]},
       {BitOp::kAnd, {hb[2], hb[3]}, hb[4]},   // depends on op 0
       {BitOp::kXor, {hb[5], hb[6]}, hb[7]},   // independent

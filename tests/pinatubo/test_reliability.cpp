@@ -257,6 +257,41 @@ TEST(Reliability, RemapHealsPersistentlyBadRows) {
     EXPECT_EQ(pim.pim_read(vecs[i]), golden[i]) << "vector " << i;
 }
 
+TEST(Reliability, RemapRewritesPassTheAlwaysOnVerifier) {
+  // A small wear-out campaign: chained OR (max_rows = 2) hammers one
+  // accumulator row past its endurance knee until write-verify remaps it.
+  // With the static verifier at kAlways every plan the ladder submits,
+  // remap rewrites included, must be admitted, and results stay exact.
+  PimRuntime::Options opts;
+  opts.max_rows = 2;
+  opts.reliability.fault.enabled = true;
+  opts.reliability.fault.endurance_cycles = 50;
+  opts.reliability.fault.wearout_rate = 0.1;
+  opts.reliability.verify.sense = reliability::SenseVerify::kNone;
+  opts.reliability.verify.writes = reliability::WriteVerify::kReadback;
+  opts.reliability.verify.level = reliability::VerifyLevel::kAlways;
+  opts.reliability.retry.spare_rows = 16;
+  PimRuntime pim({}, opts);
+  ASSERT_NE(pim.verifier(), nullptr);
+  const std::uint64_t bits = pim.geometry().sense_step_bits();
+  Rng rng(5);
+  std::vector<PimRuntime::Handle> vecs;
+  std::vector<BitVector> golden;
+  for (int i = 0; i < 8; ++i) {
+    vecs.push_back(pim.pim_malloc(bits));
+    golden.push_back(BitVector::random(bits, 0.3, rng));
+    pim.pim_write(vecs.back(), golden.back());
+  }
+  std::vector<const BitVector*> gsrcs;
+  for (const auto& g : golden) gsrcs.push_back(&g);
+  for (int round = 0; round < 40 && pim.stats().remaps == 0; ++round) {
+    ASSERT_NO_THROW(pim.pim_op(BitOp::kOr, vecs, vecs.back()));
+    golden.back() = BitVector::reduce(BitOp::kOr, gsrcs);
+  }
+  EXPECT_GT(pim.stats().remaps, 0u);
+  EXPECT_EQ(pim.pim_read(vecs.back()), golden.back());
+}
+
 TEST(Reliability, ResetCampaignMakesCampaignsIndependent) {
   // Two identical campaigns back to back in one process: the second must
   // reproduce the first bit for bit — vectors, counters, wear and cost.
@@ -349,7 +384,12 @@ TEST(Reliability, LadderPricesTheSchedulersIntraSteps) {
       plain.pim_write(v.back(), data);
       ladder.pim_write(v.back(), data);
     }
-    const std::vector<PimRuntime::BatchOp> stream = {
+    struct Op {
+      BitOp op;
+      std::vector<PimRuntime::Handle> srcs;
+      PimRuntime::Handle dst;
+    };
+    const std::vector<Op> stream = {
         {BitOp::kOr, {v[0], v[1], v[2], v[3], v[4]}, v[5]},
         {BitOp::kOr, {v[1], v[2], v[3], v[4], v[5]}, v[3]},  // aliasing dst
         {BitOp::kInv, {v[3]}, v[0]},
